@@ -18,9 +18,7 @@ from .diagnostics import check_descent, stationarity_residual
 from .instances import generate_instance, l12_lambda_bound, objective
 from .linalg import combine_seed, lmax_gram
 from .regularizers import make_spec, parse_reg_family
-from .solvers import SolverConfig, solve
-
-_SOLVER_NAMES = ("gist", "pdca_e", "pdca")
+from .solvers import SOLVERS, SolverConfig, solve
 
 
 class InvariantViolation(RuntimeError):
@@ -33,30 +31,31 @@ class BenchmarkPlan:
     lambdas: list[float]
     reg_family: str
     reg_params: dict[str, float] = field(default_factory=dict)
-    solvers: list[str] = field(default_factory=lambda: list(_SOLVER_NAMES))
+    solvers: list[str] = field(default_factory=lambda: list(SOLVERS))
     instances_per_cell: int = 30
     master_seed: int = 0
-    trace: bool = False
 
     def __post_init__(self):
         if not self.grid:
             raise ValueError("plan grid must be nonempty")
+        for m, n, s in self.grid:
+            if not (m >= 1 and 1 <= s <= n):
+                raise ValueError(f"grid cell {m}x{n}x{s}: need m, s >= 1 and s <= n")
         if not self.lambdas:
             raise ValueError("plan needs at least one lambda")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be >= 1")
         for name in self.solvers:
-            if name not in _SOLVER_NAMES:
+            if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
         if not self.solvers:
             raise ValueError("plan needs at least one solver")
-        # fail fast on a malformed family/params combination
-        make_spec(self.reg_family, **{"lambda": self.lambdas[0], **self.reg_params})
+        # fail fast on a malformed family/params combination or a bad weight
+        for lam in self.lambdas:
+            make_spec(self.reg_family, **{"lambda": lam, **self.reg_params})
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-_PLAN_KEYS = ("grid", "lambdas", "reg", "solvers", "instances", "seed", "trace")
+_PLAN_KEYS = ("grid", "lambdas", "reg", "solvers", "instances", "seed")
 
 
 def parse_plan(text: str) -> BenchmarkPlan:
@@ -76,7 +75,7 @@ def parse_plan(text: str) -> BenchmarkPlan:
             raise ValueError(f"duplicate plan key {key!r}")
         kv[key] = val.strip()
 
-    missing = [k for k in _PLAN_KEYS if k != "trace" and k not in kv]
+    missing = [k for k in _PLAN_KEYS if k not in kv]
     if missing:
         raise ValueError(f"plan missing keys {missing}")
 
@@ -93,13 +92,6 @@ def parse_plan(text: str) -> BenchmarkPlan:
         raise ValueError("plan reg must not fix lambda; use the lambdas key")
     solvers = kv["solvers"].replace(",", " ").split()
 
-    trace = False
-    if "trace" in kv:
-        val = kv["trace"].lower()
-        if val not in _BOOLS:
-            raise ValueError(f"trace must be a boolean, got {kv['trace']!r}")
-        trace = _BOOLS[val]
-
     return BenchmarkPlan(
         grid=grid,
         lambdas=lambdas,
@@ -108,7 +100,6 @@ def parse_plan(text: str) -> BenchmarkPlan:
         solvers=solvers,
         instances_per_cell=int(kv["instances"]),
         master_seed=int(kv["seed"]),
-        trace=trace,
     )
 
 
@@ -189,7 +180,7 @@ def _run_cell_replicate(
         bound = l12_lambda_bound(inst) if plan.reg_family == "l1-l2" else None
         admissible = bound > lam if bound is not None else True
         for solver_name in plan.solvers:
-            cfg = SolverConfig(algorithm=solver_name, L_override=L, trace=plan.trace)
+            cfg = SolverConfig(algorithm=solver_name, L_override=L)
             res = solve(inst, spec, cfg)
             if solver_name in ("pdca_e", "pdca"):
                 audit = check_descent(res, L)
@@ -267,7 +258,6 @@ _CSV_HEADER = (
     "n,m,s,t_lmax,iter_gist,iter_pdcae,iter_pdca,"
     "cpu_gist,cpu_pdcae,cpu_pdca,fval_gist,fval_pdcae,fval_pdca"
 )
-_COLUMN_SOLVERS = ("gist", "pdca_e", "pdca")
 
 
 def _row_cells(row: CellRow) -> list[str]:
@@ -275,11 +265,11 @@ def _row_cells(row: CellRow) -> list[str]:
         return "max" if st.cap_fraction == 1.0 else f"{st.iter_mean:.0f}"
 
     cells = [str(row.n), str(row.m), str(row.s), f"{row.t_lmax_mean:.3f}"]
-    for name in _COLUMN_SOLVERS:
+    for name in SOLVERS:
         cells.append(fmt_iter(row.stats[name]) if name in row.stats else "")
-    for name in _COLUMN_SOLVERS:
+    for name in SOLVERS:
         cells.append(f"{row.stats[name].cpu_mean:.3f}" if name in row.stats else "")
-    for name in _COLUMN_SOLVERS:
+    for name in SOLVERS:
         cells.append(f"{row.stats[name].fval_mean:.4e}" if name in row.stats else "")
     return cells
 

@@ -14,7 +14,7 @@ from .diagnostics import stationarity_residual
 from .instances import generate_instance, load_instance, objective, save_instance
 from .linalg import lmax_gram
 from .regularizers import parse_reg
-from .solvers import SolveResult, SolverConfig, solve
+from .solvers import SOLVERS, SolveResult, SolverConfig, solve
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -35,7 +35,7 @@ def _write_trace(path: str, res: SolveResult) -> None:
     with open(path, "w") as fh:
         fh.write("t,F,E,step_norm,beta\n")
         for t in range(res.iterations + 1):
-            f_cell = repr(float(obj[t])) if obj is not None else ""
+            f_cell = repr(float(obj[t]))
             e_cell = repr(float(merit[t])) if merit is not None else ""
             s_cell = repr(float(steps[t - 1])) if t >= 1 else ""
             b_cell = repr(float(betas[t])) if betas is not None and t < res.iterations else ""
@@ -45,19 +45,17 @@ def _write_trace(path: str, res: SolveResult) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     spec = parse_reg(args.reg)
+    est = lmax_gram(inst.A)
+    if not est.converged:
+        print("warning: lmax_gram did not converge; using best estimate", file=sys.stderr)
     cfg = SolverConfig(
         algorithm=args.solver,
         tol=args.tol,
         max_iter=args.max_iter,
         restart_period=args.restart if args.restart > 0 else None,
-        adaptive_restart=False if args.no_adaptive else None,
-        trace=True,
+        adaptive_restart=not args.no_adaptive,
+        L_override=est.value,
     )
-    est = lmax_gram(inst.A)
-    if not est.converged:
-        print("warning: lmax_gram did not converge; using best estimate", file=sys.stderr)
-    if args.solver in ("pdca_e", "pdca"):
-        cfg.L_override = est.value
     res = solve(inst, spec, cfg)
     fval = objective(inst, spec, res.x_final)
     residual = stationarity_residual(inst, spec, res.x_final, est.value)
@@ -125,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="run one solver on a stored instance")
     slv.add_argument("--instance", required=True)
     slv.add_argument("--reg", required=True, help="e.g. l1-l2:lambda=5e-4 or log:lambda=1e-3,eps=0.5")
-    slv.add_argument("--solver", required=True, choices=("pdca_e", "pdca", "gist"))
+    slv.add_argument("--solver", required=True, choices=SOLVERS)
     slv.add_argument("--tol", type=float, default=1e-5)
     slv.add_argument("--max-iter", type=int, default=5000)
     slv.add_argument("--restart", type=int, default=200, help="fixed restart period; 0 disables")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomSource, gauss_vector, matvec, matvec_t
+from .linalg import RandomSource, gauss_vector
 from .regularizers import RegularizerSpec, reg_value
 
 log = logging.getLogger(__name__)
@@ -134,8 +134,8 @@ def generate_instance(
 
 def smooth_eval(inst: ProblemInstance, x: np.ndarray) -> SmoothEval:
     """f(x) = 0.5 ||Ax - b||^2 and its gradient A.T (Ax - b)."""
-    r = matvec(inst.A, x) - inst.b
-    return SmoothEval(0.5 * float(r @ r), matvec_t(inst.A, r))
+    r = inst.A @ x - inst.b
+    return SmoothEval(0.5 * float(r @ r), inst.A.T @ r)
 
 
 def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> float:
@@ -146,7 +146,7 @@ def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> fl
 
 def l12_lambda_bound(inst: ProblemInstance) -> float:
     """0.5 ||A.T b||_inf; an l1-l2 weight lam is admissible iff lam < this."""
-    return 0.5 * float(np.abs(matvec_t(inst.A, inst.b)).max())
+    return 0.5 * float(np.abs(inst.A.T @ inst.b).max())
 
 
 # ---------------------------------------------------------------------------

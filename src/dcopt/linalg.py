@@ -124,24 +124,6 @@ def _check_matrix(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x with an explicit dimension check (x must have length A.cols)."""
-    A = _check_matrix(A)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.shape[1],):
-        raise ValueError(f"matvec: x has shape {x.shape}, expected ({A.shape[1]},)")
-    return A @ x
-
-
-def matvec_t(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A.T @ y with an explicit dimension check (y must have length A.rows)."""
-    A = _check_matrix(A)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (A.shape[0],):
-        raise ValueError(f"matvec_t: y has shape {y.shape}, expected ({A.shape[0]},)")
-    return A.T @ y
-
-
 class LmaxResult(NamedTuple):
     value: float
     converged: bool
@@ -156,7 +138,7 @@ _LMAX_START_SEED = 0x5EED1A3A
 def lmax_gram(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> LmaxResult:
     """Largest eigenvalue of A.T @ A by power iteration.
 
-    Alternates matvec/matvec_t so A.T @ A is never formed. The estimate is the
+    Alternates A @ v and A.T @ w so A.T @ A is never formed. The estimate is the
     Rayleigh quotient ||A v||^2 at the current unit vector v, hence never an
     overestimate. Stops once the relative change stays below `tol` for three
     consecutive iterations (change-based stopping alone can quit early when

@@ -3,8 +3,7 @@
 Each variant exposes the convex split (P1, P2), a chosen element of the P2
 subdifferential, the P1 proximal map (every P1 here is a weighted l1 norm, so
 this is soft thresholding), and the full nonconvex proximal map needed by
-GIST. A brute-force grid oracle for the full prox lives here too so the
-closed forms can be validated against something that cannot share their bugs.
+GIST.
 
 Sign conventions: penalties are even in each coordinate, so the nonconvex
 prox is solved on the half-line |z_i| and the sign of z_i is reattached. The
@@ -14,6 +13,7 @@ vector solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -29,8 +29,8 @@ class L1MinusL2:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,10 @@ class LogPenalty:
     eps: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be non-negative and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ class MCP:
     theta: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be non-negative and finite")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class SCAD:
     theta: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.theta <= 2:
-            raise ValueError("theta must exceed 2")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be non-negative and finite")
+        if not 2 < self.theta < math.inf:
+            raise ValueError("theta must exceed 2 and be finite")
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,13 @@ class TransformedL1:
     a: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be non-negative and finite")
+        if not 0 < self.a < math.inf:
+            raise ValueError("a must be positive and finite")
 
 
 RegularizerSpec = Union[L1MinusL2, LogPenalty, MCP, SCAD, TransformedL1]
-
-
-@dataclass(frozen=True)
-class ProxResult:
-    point: np.ndarray
-    objective_gap_bound: float  # 0 for closed forms
 
 
 def p1_weight(spec: RegularizerSpec) -> float:
@@ -217,14 +211,6 @@ def _pen_elementwise(spec: RegularizerSpec, u: np.ndarray) -> np.ndarray:
         lam, a = spec.lam, spec.a
         return lam * (a + 1.0) * u / (a + u)
     raise TypeError(f"no elementwise penalty for {type(spec).__name__}")
-
-
-def _penalty_batch(spec: RegularizerSpec, U: np.ndarray) -> np.ndarray:
-    """P1(u) - P2(u) for a batch of points U with shape (N, d)."""
-    aU = np.abs(U)
-    if isinstance(spec, L1MinusL2):
-        return spec.lam * (aU.sum(axis=1) - np.sqrt((U**2).sum(axis=1)))
-    return _pen_elementwise(spec, aU).sum(axis=1)
 
 
 def _select_candidate(
@@ -363,7 +349,7 @@ def _full_prox_l12(z: np.ndarray, lam: float, ell: float) -> np.ndarray:
     return u
 
 
-def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> ProxResult:
+def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
     """Global minimizer of u -> (L_t/2)||u - z||^2 + P1(u) - P2(u).
 
     Separable variants enumerate the per-piece closed-form candidates and
@@ -383,69 +369,15 @@ def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> ProxResult:
         point = _full_prox_separable(spec, z, L_t)
     if not np.all(np.isfinite(point)):
         raise ValueError("full_prox produced a non-finite candidate")
-    return ProxResult(point, 0.0)
+    return point
 
 
 def prox_objective(spec: RegularizerSpec, z: np.ndarray, L_t: float, u: np.ndarray) -> float:
-    """The full_prox subproblem objective at u; shared by tests and oracle."""
+    """The full_prox subproblem objective at u; the score tests compare proxes by."""
     z = np.asarray(z, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     p1, p2 = reg_value(spec, u)
     return 0.5 * L_t * float(np.sum((u - z) ** 2)) + p1 - p2
-
-
-def prox_oracle(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> ProxResult:
-    """Brute-force full_prox by refined grid search; dimension 1 or 2 only.
-
-    The search box is [-|z_i|-5w, |z_i|+5w] per axis (w = P1 weight). 1-D
-    scans 10^4 points with 2 refinement rounds around the incumbent; 2-D
-    scans 401 points per axis with 4 rounds, reaching a finer final spacing.
-    The exact points 0 and z are always evaluated so a narrow basin at the
-    origin cannot slip between grid lines. The reported gap bound is the
-    final spacing times a slope bound of the objective on the box.
-    """
-    if L_t <= 0:
-        raise ValueError("L_t must be positive")
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    d = z.size
-    if d not in (1, 2):
-        raise ValueError("prox_oracle handles dimension 1 or 2")
-    w = p1_weight(spec)
-    half = np.abs(z) + 5.0 * w
-    half = np.maximum(half, 1e-12)  # degenerate z = 0, w = 0 still needs a box
-    per_axis = 10_000 if d == 1 else 401
-    rounds = 2 if d == 1 else 4
-
-    lo = -half.copy()
-    hi = half.copy()
-    best_u = np.zeros(d)
-    best_phi = np.inf
-    for fixed in (np.zeros(d), z.copy()):
-        phi = prox_objective(spec, z, L_t, fixed)
-        if phi < best_phi:
-            best_phi, best_u = phi, fixed
-
-    spacing = (hi - lo) / (per_axis - 1)
-    for _ in range(rounds + 1):
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(d)]
-        if d == 1:
-            U = axes[0][:, None]
-        else:
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            U = np.column_stack([g0.ravel(), g1.ravel()])
-        phi = 0.5 * L_t * ((U - z) ** 2).sum(axis=1) + _penalty_batch(spec, U)
-        k = int(np.argmin(phi))
-        if phi[k] < best_phi:
-            best_phi = float(phi[k])
-            best_u = U[k].copy()
-        spacing = (hi - lo) / (per_axis - 1)
-        lo = best_u - 2.0 * spacing
-        hi = best_u + 2.0 * spacing
-
-    reach = float(np.linalg.norm(np.abs(z) + half))
-    slope = L_t * reach + 2.0 * w * np.sqrt(d)
-    gap = slope * float(spacing.max()) * np.sqrt(d) / 2.0
-    return ProxResult(best_u, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,46 +24,38 @@ from .regularizers import RegularizerSpec, full_prox, p1_prox, p2_subgrad, reg_v
 
 log = logging.getLogger(__name__)
 
-_ALGORITHMS = ("pdca_e", "pdca", "gist")
+SOLVERS = ("gist", "pdca_e", "pdca")
+
+# GIST line search: sufficient-decrease constant, step growth factor, window
+# of the nonmonotone reference, BB clamp, and the first trial step
+_GIST_C = 1e-4
+_GIST_TAU = 2.0
+_GIST_M = 4
+_GIST_L_MIN = 1e-8
+_GIST_L_MAX = 1e8
+_GIST_L0_FIRST = 1.0
 
 
 @dataclass(frozen=True)
-class GistParams:
-    c: float = 1e-4
-    tau: float = 2.0
-    M: int = 4
-    L_min: float = 1e-8
-    L_max: float = 1e8
-    L0_first: float = 1.0
-
-
-@dataclass
 class SolverConfig:
     algorithm: str
     tol: float = 1e-5
     max_iter: int = 5000
     restart_period: int | None = 200
-    adaptive_restart: bool | None = None  # None resolves to True for pdca_e only
-    L_override: float | None = None
-    gist_params: GistParams = field(default_factory=GistParams)
-    trace: bool = True  # False drops the objective trace for timing runs
+    adaptive_restart: bool = True  # pdca_e only, like restart_period
+    L_override: float | None = None  # pdca_e/pdca step constant; gist ignores it
 
     def __post_init__(self):
-        if self.algorithm not in _ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.algorithm not in SOLVERS:
+            raise ValueError(f"algorithm must be one of {SOLVERS}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.restart_period is not None and self.restart_period < 1:
             raise ValueError("restart_period must be >= 1 when present")
-        if self.L_override is not None and self.L_override <= 0:
-            raise ValueError("L_override must be positive")
-
-    def resolved_adaptive(self) -> bool:
-        if self.adaptive_restart is None:
-            return self.algorithm == "pdca_e"
-        return self.adaptive_restart
+        if self.L_override is not None and not 0 < self.L_override < math.inf:
+            raise ValueError("L_override must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ class SolveResult:
     x_final: np.ndarray
     iterations: int
     status: str  # converged | iteration_cap | aborted
-    objective_trace: np.ndarray | None
+    objective_trace: np.ndarray
     merit_trace: np.ndarray | None
     step_norm_trace: np.ndarray
     beta_trace: np.ndarray | None  # pdca_e only
@@ -118,7 +110,7 @@ def _resolve_L(inst: ProblemInstance, cfg: SolverConfig) -> float:
     return est.value
 
 
-def pdca_e_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
+def _pdca(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
     """Proximal DC iteration, extrapolated (pdca_e) or plain (pdca).
 
     Each step: xi^t in dP2(x^t); y^t = x^t + beta_t (x^t - x^{t-1});
@@ -127,11 +119,8 @@ def pdca_e_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig
     y^t is formed. wall_seconds covers the iteration loop only (L is resolved
     beforehand).
     """
-    if cfg.algorithm not in ("pdca_e", "pdca"):
-        raise ValueError("pdca_e_solve handles algorithms 'pdca_e' and 'pdca'")
     L = _resolve_L(inst, cfg)
     use_extra = cfg.algorithm == "pdca_e"
-    adaptive = cfg.resolved_adaptive() if use_extra else False
 
     A, b = inst.A, inst.b
     n = inst.n
@@ -156,7 +145,7 @@ def pdca_e_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig
     for t in range(cfg.max_iter):
         if use_extra:
             trigger = (
-                adaptive
+                cfg.adaptive_restart
                 and y_prev is not None
                 and float((y_prev - x) @ (x - x_prev)) > 0.0
             )
@@ -199,7 +188,7 @@ def pdca_e_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig
         x_final=x,
         iterations=iterations,
         status=status,
-        objective_trace=np.array(obj) if cfg.trace else None,
+        objective_trace=np.array(obj),
         merit_trace=np.array(merit),
         step_norm_trace=np.array(steps),
         beta_trace=np.array(betas) if use_extra else None,
@@ -208,18 +197,15 @@ def pdca_e_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig
     )
 
 
-def gist_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
+def _gist(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
     """Nonmonotone proximal gradient with BB initialization and the full prox.
 
     The trial step L_t starts from the clamped BB curvature ||A d||^2/||d||^2
-    (L0_first on the first iteration) and doubles by tau until the candidate
-    passes the sufficient-decrease test against the largest objective among
-    the last M accepted iterates. More than 100 backtracks aborts: that only
+    (_GIST_L0_FIRST on the first iteration) and grows by _GIST_TAU until the
+    candidate passes the sufficient-decrease test against the largest
+    objective among the last _GIST_M accepted iterates. More than 100 backtracks aborts: that only
     happens if full_prox returns a non-minimizer.
     """
-    if cfg.algorithm != "gist":
-        raise ValueError("gist_solve handles algorithm 'gist'")
-    gp = cfg.gist_params
     A, b = inst.A, inst.b
     n = inst.n
 
@@ -231,8 +217,8 @@ def gist_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) 
     F0 = 0.5 * float(b @ b)
     obj = [F0]
     steps: list[float] = []
-    window: deque[float] = deque([F0], maxlen=gp.M)
-    L0 = gp.L0_first
+    window: deque[float] = deque([F0], maxlen=_GIST_M)
+    L0 = _GIST_L0_FIRST
 
     status = "iteration_cap"
     message = ""
@@ -246,22 +232,22 @@ def gist_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) 
             Ad = Ax - Ax_prev
             dd = float(d @ d)
             if dd > 0.0:
-                L0 = min(max(float(Ad @ Ad) / dd, gp.L_min), gp.L_max)
+                L0 = min(max(float(Ad @ Ad) / dd, _GIST_L_MIN), _GIST_L_MAX)
 
         f_ref = max(window)
         L_t = L0
         accepted = False
         for _ in range(100):
-            cand = full_prox(spec, x - grad / L_t, L_t).point
+            cand = full_prox(spec, x - grad / L_t, L_t)
             Acand = A @ cand
             rc = Acand - b
             p1v, p2v = reg_value(spec, cand)
             Fc = 0.5 * float(rc @ rc) + p1v - p2v
             diff = cand - x
-            if np.isfinite(Fc) and Fc <= f_ref - 0.5 * gp.c * L_t * float(diff @ diff):
+            if np.isfinite(Fc) and Fc <= f_ref - 0.5 * _GIST_C * L_t * float(diff @ diff):
                 accepted = True
                 break
-            L_t *= gp.tau
+            L_t *= _GIST_TAU
         if not accepted:
             status = "aborted"
             message = f"backtracking exceeded 100 trials at t={t}"
@@ -285,7 +271,7 @@ def gist_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) 
         x_final=x,
         iterations=iterations,
         status=status,
-        objective_trace=np.array(obj) if cfg.trace else None,
+        objective_trace=np.array(obj),
         merit_trace=None,
         step_norm_trace=np.array(steps),
         beta_trace=None,
@@ -295,7 +281,7 @@ def gist_solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) 
 
 
 def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
-    """Dispatch on cfg.algorithm."""
+    """Run cfg.algorithm from the origin."""
     if cfg.algorithm == "gist":
-        return gist_solve(inst, spec, cfg)
-    return pdca_e_solve(inst, spec, cfg)
+        return _gist(inst, spec, cfg)
+    return _pdca(inst, spec, cfg)

@@ -4,6 +4,9 @@ Everything here is written the slow, obvious way on purpose: plain Python
 loops, textbook formulas, no code shared with dcopt beyond numpy arrays as
 containers. When a test compares dcopt against one of these, the two sides
 were derived separately, so agreement is evidence rather than tautology.
+The one exception is prox_oracle, which scores its two exact anchor points
+with dcopt's prox_objective, the same function the tests use to score both
+sides of a comparison; its grid scan uses the textbook penalties below.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from dcopt.regularizers import prox_objective
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -27,28 +32,6 @@ def splitmix_out(state: int, k: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
-
-
-def matvec_loops(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m, n = A.shape
-    out = np.zeros(m)
-    for i in range(m):
-        acc = 0.0
-        for j in range(n):
-            acc += float(A[i, j]) * float(x[j])
-        out[i] = acc
-    return out
-
-
-def matvec_t_loops(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m, n = A.shape
-    out = np.zeros(n)
-    for j in range(n):
-        acc = 0.0
-        for i in range(m):
-            acc += float(A[i, j]) * float(y[i])
-        out[j] = acc
-    return out
 
 
 def jacobi_lmax(A: np.ndarray) -> float:
@@ -123,3 +106,95 @@ def simpson(fun, a: float, b: float, n: int = 20000) -> float:
     ys = np.array([fun(float(x)) for x in xs])
     h = (b - a) / n
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+def textbook_penalty(spec, U: np.ndarray) -> np.ndarray:
+    """P(u) = P1(u) - P2(u) for each row u of U (shape (N, d)), from the
+    penalties' textbook definitions rather than their DC split."""
+    name = type(spec).__name__
+    lam = spec.lam
+    t = np.abs(U)
+    if name == "L1MinusL2":
+        return lam * (t.sum(axis=1) - np.sqrt((U * U).sum(axis=1)))
+    if name == "LogPenalty":
+        per = lam * np.log((t + spec.eps) / spec.eps)
+    elif name == "MCP":
+        # lam * integral_0^t (1 - s / (theta lam))_+ ds
+        c = np.minimum(t, spec.theta * lam)
+        per = lam * c - c * c / (2.0 * spec.theta)
+    elif name == "SCAD":
+        # Fan & Li: slope lam up to lam, then (theta lam - s) / (theta - 1) down to 0
+        c = np.clip(t, lam, spec.theta * lam)
+        per = lam * np.minimum(t, lam) + (
+            spec.theta * lam * (c - lam) - (c * c - lam * lam) / 2.0) / (spec.theta - 1.0)
+    elif name == "TransformedL1":
+        per = lam * (spec.a + 1.0) * t / (spec.a + t)
+    else:
+        raise TypeError(f"no textbook penalty for {name}")
+    return per.sum(axis=1)
+
+
+def textbook_p1_weight(spec) -> float:
+    """The weight w of P1 = w ||.||_1: the slope of lam * phi(|u|) at 0+."""
+    name = type(spec).__name__
+    if name == "LogPenalty":
+        return spec.lam / spec.eps
+    if name == "TransformedL1":
+        return spec.lam * (spec.a + 1.0) / spec.a
+    return spec.lam
+
+
+def prox_oracle(spec, z: np.ndarray, L_t: float) -> tuple[np.ndarray, float]:
+    """Brute-force full prox by refined grid search; dimension 1 or 2 only.
+
+    Returns (point, gap), where gap bounds how far the point's objective can
+    sit above the true minimum. The search box is [-|z_i|-5w, |z_i|+5w] per
+    axis (w = the P1 weight). 1-D scans 10^4 points with 2
+    refinement rounds around the incumbent; 2-D scans 401 points per axis with
+    4 rounds, reaching a finer final spacing. The exact points 0 and z are
+    always evaluated so a narrow basin at the origin cannot slip between grid
+    lines. The gap is the final spacing times a slope bound of the objective
+    on the box.
+    """
+    if L_t <= 0:
+        raise ValueError("L_t must be positive")
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    d = z.size
+    if d not in (1, 2):
+        raise ValueError("prox_oracle handles dimension 1 or 2")
+    w = textbook_p1_weight(spec)
+    half = np.abs(z) + 5.0 * w
+    half = np.maximum(half, 1e-12)  # degenerate z = 0, w = 0 still needs a box
+    per_axis = 10_000 if d == 1 else 401
+    rounds = 2 if d == 1 else 4
+
+    lo = -half.copy()
+    hi = half.copy()
+    best_u = np.zeros(d)
+    best_phi = np.inf
+    for fixed in (np.zeros(d), z.copy()):
+        phi = prox_objective(spec, z, L_t, fixed)
+        if phi < best_phi:
+            best_phi, best_u = phi, fixed
+
+    spacing = (hi - lo) / (per_axis - 1)
+    for _ in range(rounds + 1):
+        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(d)]
+        if d == 1:
+            U = axes[0][:, None]
+        else:
+            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+            U = np.column_stack([g0.ravel(), g1.ravel()])
+        phi = 0.5 * L_t * ((U - z) ** 2).sum(axis=1) + textbook_penalty(spec, U)
+        k = int(np.argmin(phi))
+        if phi[k] < best_phi:
+            best_phi = float(phi[k])
+            best_u = U[k].copy()
+        spacing = (hi - lo) / (per_axis - 1)
+        lo = best_u - 2.0 * spacing
+        hi = best_u + 2.0 * spacing
+
+    reach = float(np.linalg.norm(np.abs(z) + half))
+    slope = L_t * reach + 2.0 * w * np.sqrt(d)
+    gap = slope * float(spacing.max()) * np.sqrt(d) / 2.0
+    return best_u, gap

@@ -33,11 +33,10 @@ from dcopt.regularizers import (
     p2_lipschitz,
     p2_subgrad,
     prox_objective,
-    prox_oracle,
 )
 from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
 
-from oracles import fd_gradient, jacobi_lmax
+from oracles import fd_gradient, jacobi_lmax, prox_oracle
 
 DESK_CELL = (720, 2560, 80)
 DESK_REPS = 10
@@ -173,16 +172,16 @@ def test_criterion_4_prox_vs_oracle():
             spec = sample_spec(family)
             z = rng.normal(0.0, 2.0, size=1)
             L_t = 10.0 ** rng.uniform(-0.7, 1.3)
-            ours = prox_objective(spec, z, L_t, full_prox(spec, z, L_t).point)
-            ref = prox_objective(spec, z, L_t, prox_oracle(spec, z, L_t).point)
+            ours = prox_objective(spec, z, L_t, full_prox(spec, z, L_t))
+            ref = prox_objective(spec, z, L_t, prox_oracle(spec, z, L_t)[0])
             worst = max(worst, ours - ref)
             cases += 1
     for _ in range(200):
         spec = sample_spec("l1-l2")
         z = rng.normal(0.0, 2.0, size=2)
         L_t = 10.0 ** rng.uniform(-0.7, 1.3)
-        ours = prox_objective(spec, z, L_t, full_prox(spec, z, L_t).point)
-        ref = prox_objective(spec, z, L_t, prox_oracle(spec, z, L_t).point)
+        ours = prox_objective(spec, z, L_t, full_prox(spec, z, L_t))
+        ref = prox_objective(spec, z, L_t, prox_oracle(spec, z, L_t)[0])
         worst = max(worst, ours - ref)
         cases += 1
     wall = time.perf_counter() - start

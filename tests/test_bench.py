@@ -45,7 +45,6 @@ class TestParsePlan:
         solvers = gist, pdca
         instances = 2
         seed = 7
-        trace = yes
         """
         plan = parse_plan(text)
         assert plan.grid == [(10, 20, 2), (20, 40, 4)]
@@ -55,19 +54,18 @@ class TestParsePlan:
         assert plan.solvers == ["gist", "pdca"]
         assert plan.instances_per_cell == 2
         assert plan.master_seed == 7
-        assert plan.trace is True
 
-    def test_trace_is_the_only_optional_key(self):
-        plan = parse_plan(
-            "grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist,pdca_e,pdca\n"
-            "seed=0\ninstances=1")
-        assert plan.trace is False
-        with pytest.raises(ValueError, match="missing"):
-            parse_plan("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nseed=0\ninstances=1")
+    def test_every_key_is_required(self):
+        full = ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist,pdca_e,pdca\n"
+                "seed=0\ninstances=1")
+        parse_plan(full)
+        for line in full.splitlines():
+            key = line.split("=", 1)[0]
+            with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
+                parse_plan(full.replace(line, ""))
 
     def test_programmatic_defaults(self):
         assert TINY_PLAN.solvers == ["gist", "pdca_e", "pdca"]
-        assert TINY_PLAN.trace is False
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -82,6 +80,8 @@ class TestParsePlan:
              "grid"),
             ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=sgd\ninstances=1\nseed=0",
              "solver"),
+            ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0\n"
+             "trace=yes", "unknown plan key"),
         ],
     )
     def test_rejects_malformed(self, text, fragment):
@@ -106,6 +106,16 @@ class TestPlanValidation:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(-1e-3,), reg_family="l1-l2")
+
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+    def test_checks_every_lambda(self, bad):
+        with pytest.raises(ValueError, match="lam"):
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3, bad), reg_family="l1-l2")
+
+    @pytest.mark.parametrize("cell", [(10, 20, 30), (0, 20, 2), (10, 20, 0)])
+    def test_checks_every_cell(self, cell):
+        with pytest.raises(ValueError, match="grid cell"):
+            BenchmarkPlan(grid=((10, 20, 2), cell), lambdas=(1e-3,), reg_family="l1-l2")
 
 
 class TestReplicateSeed:

@@ -1,4 +1,4 @@
-"""Hashing, counter-based RNG, matvec kernels, and the power-iteration bound."""
+"""Hashing, counter-based RNG, and the power-iteration bound."""
 
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ from dcopt.linalg import (
     combine_seed,
     gauss_vector,
     lmax_gram,
-    matvec,
-    matvec_t,
     mix64,
 )
-from oracles import jacobi_lmax, matvec_loops, matvec_t_loops, splitmix_out
+from oracles import jacobi_lmax, splitmix_out
 
 
 class TestMix64:
@@ -138,39 +136,6 @@ class TestGaussVector:
         a = gauss_vector(RandomSource(42, 1), 100)
         b = gauss_vector(RandomSource(42, 2), 100)
         assert not np.array_equal(a, b)
-
-
-class TestMatvec:
-    def test_hand_example(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(A, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-        assert np.array_equal(matvec_t(A, np.array([1.0, 1.0])), np.array([4.0, 6.0]))
-
-    def test_matches_loop_oracle(self, rng):
-        for m, n in ((1, 1), (3, 5), (8, 2), (13, 13)):
-            A = rng.standard_normal((m, n))
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(m)
-            assert np.allclose(matvec(A, x), matvec_loops(A, x), rtol=1e-13, atol=1e-13)
-            assert np.allclose(matvec_t(A, y), matvec_t_loops(A, y), rtol=1e-13, atol=1e-13)
-
-    def test_adjoint_identity(self, rng):
-        for _ in range(10):
-            A = rng.standard_normal((6, 9))
-            x = rng.standard_normal(9)
-            y = rng.standard_normal(6)
-            lhs = float(matvec(A, x) @ y)
-            rhs = float(x @ matvec_t(A, y))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    def test_shape_errors(self):
-        A = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            matvec(A, np.zeros(3))
-        with pytest.raises(ValueError):
-            matvec_t(A, np.zeros(2))
-        with pytest.raises(ValueError):
-            matvec(np.zeros(3), np.zeros(3))
 
 
 class TestLmaxGram:

@@ -2,21 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dcopt.diagnostics import check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance, generate_instance, objective
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
-from dcopt.solvers import (
-    ExtrapolationState,
-    GistParams,
-    SolverConfig,
-    gist_solve,
-    next_beta,
-    pdca_e_solve,
-    solve,
-)
+from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
 from oracles import grid_min_1d
 
 ALL_SPECS = [
@@ -45,16 +39,8 @@ class TestSolverConfig:
         assert cfg.tol == 1e-5
         assert cfg.max_iter == 5000
         assert cfg.restart_period == 200
-        assert cfg.trace is True
-
-    def test_gist_params_defaults(self):
-        gp = GistParams()
-        assert gp.c == 1e-4
-        assert gp.tau == 2.0
-        assert gp.M == 4
-        assert gp.L_min == 1e-8
-        assert gp.L_max == 1e8
-        assert gp.L0_first == 1.0
+        assert cfg.adaptive_restart is True
+        assert cfg.L_override is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -64,18 +50,19 @@ class TestSolverConfig:
             dict(algorithm="pdca", max_iter=0),
             dict(algorithm="pdca_e", restart_period=0),
             dict(algorithm="pdca", L_override=-1.0),
+            dict(algorithm="pdca", tol=float("nan")),
+            dict(algorithm="pdca", L_override=float("nan")),
+            dict(algorithm="pdca_e", L_override=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
-    def test_resolved_adaptive(self):
-        assert SolverConfig(algorithm="pdca_e").resolved_adaptive() is True
-        assert SolverConfig(algorithm="pdca").resolved_adaptive() is False
-        assert SolverConfig(algorithm="gist").resolved_adaptive() is False
-        assert SolverConfig(algorithm="pdca_e", adaptive_restart=False).resolved_adaptive() is False
-        assert SolverConfig(algorithm="pdca", adaptive_restart=True).resolved_adaptive() is True
+    def test_frozen(self):
+        cfg = SolverConfig(algorithm="pdca")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.L_override = 1.0
 
 
 class TestNextBeta:
@@ -200,13 +187,6 @@ class TestSolveResultContract:
         assert len(res.step_norm_trace) == 7
         assert res.beta_trace is None
 
-    def test_trace_flag_drops_objective_only(self, small_instance, small_L):
-        res = solve(small_instance, L1MinusL2(1e-3),
-                    SolverConfig(algorithm="pdca_e", L_override=small_L, trace=False))
-        assert res.objective_trace is None
-        assert res.merit_trace is not None  # always kept: the descent audit needs it
-        assert res.step_norm_trace is not None
-
     def test_final_objective_matches_trace(self, small_instance, small_L):
         spec = LogPenalty(1e-3, 0.5)
         res = solve(small_instance, spec, SolverConfig(algorithm="pdca_e", L_override=small_L))
@@ -232,12 +212,6 @@ class TestSolveResultContract:
         auto = solve(small_instance, spec, SolverConfig(algorithm="pdca_e"))
         manual = solve(small_instance, spec, SolverConfig(algorithm="pdca_e", L_override=small_L))
         assert np.array_equal(auto.x_final, manual.x_final)
-
-    def test_dispatch_guards(self, small_instance):
-        with pytest.raises(ValueError):
-            pdca_e_solve(small_instance, L1MinusL2(0.1), SolverConfig(algorithm="gist"))
-        with pytest.raises(ValueError):
-            gist_solve(small_instance, L1MinusL2(0.1), SolverConfig(algorithm="pdca"))
 
 
 class TestGist:
