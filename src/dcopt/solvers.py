@@ -203,8 +203,9 @@ def _gist(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     The trial step L_t starts from the clamped BB curvature ||A d||^2/||d||^2
     (_GIST_L0_FIRST on the first iteration) and grows by _GIST_TAU until the
     candidate passes the sufficient-decrease test against the largest
-    objective among the last _GIST_M accepted iterates. More than 100 backtracks aborts: that only
-    happens if full_prox returns a non-minimizer.
+    objective among the last _GIST_M accepted iterates. More than 100
+    backtracks aborts: that only happens if full_prox returns a
+    non-minimizer.
     """
     A, b = inst.A, inst.b
     n = inst.n
