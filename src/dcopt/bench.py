@@ -4,8 +4,8 @@ A plan names a grid of (m, n, s) cells, a regularizer family with fixed
 parameters, a list of weights, solvers, and a replicate count. Instances are
 seeded by a stable hash of (master_seed, m, n, s, replicate), so they are
 shared across weights within a cell and adding a weight never reshuffles
-them. Every pdca_e/pdca run is audited against the descent inequality, and
-every l1-l2 run is checked for weight admissibility.
+them. Every run with a merit trace (pdca_e, pdca) is audited against the
+descent inequality, and every l1-l2 run is checked for weight admissibility.
 """
 
 from __future__ import annotations
@@ -146,14 +146,6 @@ class ResultTable:
     rows: list[CellRow]
     records: list[RunRecord]
 
-    @property
-    def any_aborted(self) -> bool:
-        return any(r.status == "aborted" for r in self.records)
-
-    @property
-    def any_inadmissible(self) -> bool:
-        return any(not r.admissible for r in self.records)
-
 
 def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> int:
     """Stable instance seed; independent of the weight by construction."""
@@ -182,7 +174,7 @@ def _run_cell_replicate(
         for solver_name in plan.solvers:
             cfg = SolverConfig(algorithm=solver_name, L_override=L)
             res = solve(inst, spec, cfg)
-            if solver_name in ("pdca_e", "pdca"):
+            if res.merit_trace is not None:
                 audit = check_descent(res, L)
                 if audit.violations > 0:
                     raise InvariantViolation(

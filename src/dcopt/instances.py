@@ -140,8 +140,9 @@ def smooth_eval(inst: ProblemInstance, x: np.ndarray) -> SmoothEval:
 
 def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> float:
     """F(x) = f(x) + P1(x) - P2(x)."""
+    r = inst.A @ x - inst.b
     p1, p2 = reg_value(spec, x)
-    return smooth_eval(inst, x).value + p1 - p2
+    return 0.5 * float(r @ r) + p1 - p2
 
 
 def l12_lambda_bound(inst: ProblemInstance) -> float:

@@ -1,11 +1,13 @@
 """The three solvers: pDCA_e, plain pDCA (beta = 0), and the GIST baseline.
 
-All start from the origin and share the stopping rule
-||x^t - x^{t-1}|| / max(1, ||x^t||) < tol. The pdca family performs one
+All three run in one loop that starts from the origin, caches A x^t and
+A x^{t-1}, and stops when ||x^t - x^{t-1}|| / max(1, ||x^t||) < tol; only
+the candidate step depends on the algorithm. The pdca family performs one
 matvec and one transposed matvec per iteration: the extrapolated product
 A y^t is the affine combination of the cached A x^t and A x^{t-1}, and the
 fresh product A x^{t+1} feeds both the next iteration and the objective and
-merit traces, so tracing adds no matvecs.
+merit traces, so tracing adds no matvecs. gist performs one transposed
+matvec per iteration and one matvec per backtracking trial.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,26 +111,39 @@ def _resolve_L(inst: ProblemInstance, cfg: SolverConfig) -> float:
     return est.value
 
 
-def _pdca(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
-    """Proximal DC iteration, extrapolated (pdca_e) or plain (pdca).
+def _objective(spec: RegularizerSpec, Ax: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """F(x) = 0.5 ||Ax - b||^2 + P1(x) - P2(x) from the cached product Ax."""
+    r = Ax - b
+    p1v, p2v = reg_value(spec, x)
+    return 0.5 * float(r @ r) + p1v - p2v
 
-    Each step: xi^t in dP2(x^t); y^t = x^t + beta_t (x^t - x^{t-1});
-    x^{t+1} = p1_prox(y^t - (1/L)(grad f(y^t) - xi^t), 1/L). The adaptive
-    restart trigger is <y^{t-1} - x^t, x^t - x^{t-1}> > 0, evaluated before
-    y^t is formed. wall_seconds covers the iteration loop only (L is resolved
-    beforehand).
+
+def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
+    """Run cfg.algorithm from the origin.
+
+    pdca_e/pdca: xi^t in dP2(x^t); y^t = x^t + beta_t (x^t - x^{t-1});
+    x^{t+1} = p1_prox(y^t - (1/L)(grad f(y^t) - xi^t), 1/L), with beta_t = 0
+    for pdca. The adaptive restart trigger is <y^{t-1} - x^t, x^t - x^{t-1}> > 0,
+    evaluated before y^t is formed.
+
+    gist: x^{t+1} = full_prox(x^t - grad f(x^t)/L_t, L_t). The trial step L_t
+    starts from the clamped BB curvature ||A d||^2/||d||^2 of the last step d
+    (_GIST_L0_FIRST while d = 0) and grows by _GIST_TAU until the candidate
+    passes the sufficient-decrease test against the largest objective among
+    the last _GIST_M iterates. More than 100 backtracks aborts: that only
+    happens if full_prox returns a non-minimizer.
+
+    A non-finite pdca iterate or gist prox input aborts. wall_seconds covers
+    the iteration loop only (L is resolved beforehand).
     """
-    L = _resolve_L(inst, cfg)
-    use_extra = cfg.algorithm == "pdca_e"
+    gist = cfg.algorithm == "gist"
+    L = None if gist else _resolve_L(inst, cfg)
 
     A, b = inst.A, inst.b
-    n = inst.n
-    x = np.zeros(n)
-    x_prev = np.zeros(n)
-    Ax = np.zeros(inst.m)
-    Ax_prev = np.zeros(inst.m)
-    y_prev: np.ndarray | None = None
+    x = x_prev = y = np.zeros(inst.n)
+    Ax = Ax_prev = np.zeros(inst.m)
     state = ExtrapolationState()
+    L0 = _GIST_L0_FIRST
 
     F0 = 0.5 * float(b @ b)  # F(0): every penalty vanishes at the origin
     obj = [F0]
@@ -143,38 +157,57 @@ def _pdca(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
 
     t_start = time.perf_counter()
     for t in range(cfg.max_iter):
-        if use_extra:
-            trigger = (
-                cfg.adaptive_restart
-                and y_prev is not None
-                and float((y_prev - x) @ (x - x_prev)) > 0.0
-            )
-            beta, state = next_beta(state, cfg.restart_period, trigger)
+        if gist:
+            grad = A.T @ (Ax - b)
+            d = x - x_prev
+            dd = float(d @ d)
+            if dd > 0.0:
+                Ad = Ax - Ax_prev
+                L0 = min(max(float(Ad @ Ad) / dd, _GIST_L_MIN), _GIST_L_MAX)
+            f_ref = max(obj[-_GIST_M:])
+            L_t = L0
+            for _ in range(100):
+                z = x - grad / L_t
+                if not np.all(np.isfinite(z)):
+                    message = f"non-finite iterate at t={t}"
+                    break
+                x_new = full_prox(spec, z, L_t)
+                Ax_new = A @ x_new
+                F = _objective(spec, Ax_new, b, x_new)
+                diff = x_new - x
+                if np.isfinite(F) and F <= f_ref - 0.5 * _GIST_C * L_t * float(diff @ diff):
+                    break
+                L_t *= _GIST_TAU
+            else:
+                message = f"backtracking exceeded 100 trials at t={t}"
         else:
             beta = 0.0
-
-        y = x + beta * (x - x_prev)
-        Ay = Ax + beta * (Ax - Ax_prev)
-        grad_y = A.T @ (Ay - b)
-        xi = p2_subgrad(spec, x)
-        x_new = p1_prox(spec, y - (grad_y - xi) / L, 1.0 / L)
-        if not np.all(np.isfinite(x_new)):
+            if cfg.algorithm == "pdca_e":
+                # y still holds y^{t-1}; at t = 0 it is the origin and the trigger is off
+                trigger = cfg.adaptive_restart and float((y - x) @ (x - x_prev)) > 0.0
+                beta, state = next_beta(state, cfg.restart_period, trigger)
+            y = x + beta * (x - x_prev)
+            Ay = Ax + beta * (Ax - Ax_prev)
+            grad_y = A.T @ (Ay - b)
+            xi = p2_subgrad(spec, x)
+            x_new = p1_prox(spec, y - (grad_y - xi) / L, 1.0 / L)
+            if np.all(np.isfinite(x_new)):
+                Ax_new = A @ x_new
+                F = _objective(spec, Ax_new, b, x_new)
+            else:
+                message = f"non-finite iterate at t={t}"
+        if message:
             status = "aborted"
-            message = f"non-finite iterate at t={t}"
             iterations = t
             break
-        Ax_new = A @ x_new
 
         step = float(np.linalg.norm(x_new - x))
-        r = Ax_new - b
-        p1v, p2v = reg_value(spec, x_new)
-        F = 0.5 * float(r @ r) + p1v - p2v
         obj.append(F)
-        merit.append(F + 0.5 * L * step * step)
         steps.append(step)
-        betas.append(beta)
+        if not gist:
+            merit.append(F + 0.5 * L * step * step)
+            betas.append(beta)
 
-        y_prev = y
         x_prev, x = x, x_new
         Ax_prev, Ax = Ax, Ax_new
 
@@ -189,100 +222,9 @@ def _pdca(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
         iterations=iterations,
         status=status,
         objective_trace=np.array(obj),
-        merit_trace=np.array(merit),
+        merit_trace=None if gist else np.array(merit),
         step_norm_trace=np.array(steps),
-        beta_trace=np.array(betas) if use_extra else None,
+        beta_trace=np.array(betas) if cfg.algorithm == "pdca_e" else None,
         wall_seconds=wall,
         message=message,
     )
-
-
-def _gist(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
-    """Nonmonotone proximal gradient with BB initialization and the full prox.
-
-    The trial step L_t starts from the clamped BB curvature ||A d||^2/||d||^2
-    (_GIST_L0_FIRST on the first iteration) and grows by _GIST_TAU until the
-    candidate passes the sufficient-decrease test against the largest
-    objective among the last _GIST_M accepted iterates. More than 100
-    backtracks aborts: that only happens if full_prox returns a
-    non-minimizer.
-    """
-    A, b = inst.A, inst.b
-    n = inst.n
-
-    x = np.zeros(n)
-    Ax = np.zeros(inst.m)
-    x_prev: np.ndarray | None = None
-    Ax_prev: np.ndarray | None = None
-
-    F0 = 0.5 * float(b @ b)
-    obj = [F0]
-    steps: list[float] = []
-    window: deque[float] = deque([F0], maxlen=_GIST_M)
-    L0 = _GIST_L0_FIRST
-
-    status = "iteration_cap"
-    message = ""
-    iterations = cfg.max_iter
-
-    t_start = time.perf_counter()
-    for t in range(cfg.max_iter):
-        grad = A.T @ (Ax - b)
-        if t >= 1:
-            d = x - x_prev
-            Ad = Ax - Ax_prev
-            dd = float(d @ d)
-            if dd > 0.0:
-                L0 = min(max(float(Ad @ Ad) / dd, _GIST_L_MIN), _GIST_L_MAX)
-
-        f_ref = max(window)
-        L_t = L0
-        accepted = False
-        for _ in range(100):
-            cand = full_prox(spec, x - grad / L_t, L_t)
-            Acand = A @ cand
-            rc = Acand - b
-            p1v, p2v = reg_value(spec, cand)
-            Fc = 0.5 * float(rc @ rc) + p1v - p2v
-            diff = cand - x
-            if np.isfinite(Fc) and Fc <= f_ref - 0.5 * _GIST_C * L_t * float(diff @ diff):
-                accepted = True
-                break
-            L_t *= _GIST_TAU
-        if not accepted:
-            status = "aborted"
-            message = f"backtracking exceeded 100 trials at t={t}"
-            iterations = t
-            break
-
-        step = float(np.linalg.norm(diff))
-        x_prev, x = x, cand
-        Ax_prev, Ax = Ax, Acand
-        obj.append(Fc)
-        steps.append(step)
-        window.append(Fc)
-
-        if step / max(1.0, float(np.linalg.norm(x))) < cfg.tol:
-            status = "converged"
-            iterations = t + 1
-            break
-    wall = time.perf_counter() - t_start
-
-    return SolveResult(
-        x_final=x,
-        iterations=iterations,
-        status=status,
-        objective_trace=np.array(obj),
-        merit_trace=None,
-        step_norm_trace=np.array(steps),
-        beta_trace=None,
-        wall_seconds=wall,
-        message=message,
-    )
-
-
-def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
-    """Run cfg.algorithm from the origin."""
-    if cfg.algorithm == "gist":
-        return _gist(inst, spec, cfg)
-    return _pdca(inst, spec, cfg)

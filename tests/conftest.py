@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dcopt import generate_instance, lmax_gram
+from dcopt import ProblemInstance, generate_instance, lmax_gram
 
 settings.register_profile(
     "suite",
@@ -29,6 +29,19 @@ def small_L(small_instance):
     est = lmax_gram(small_instance.A)
     assert est.converged
     return est.value
+
+
+@pytest.fixture(scope="session")
+def overflow_instance():
+    """Valid data (one unit-norm column, finite b) on which A.T b overflows."""
+    return ProblemInstance(
+        A=np.full((4, 1), 0.5),
+        b=np.full(4, 1e308),
+        ground_truth=np.zeros(1),
+        support=np.array([0], dtype=np.int64),
+        seed=0,
+        noise_scale=0.0,
+    )
 
 
 @pytest.fixture()

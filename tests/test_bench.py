@@ -144,8 +144,8 @@ class TestRunBenchmark:
         # plain pdca may legitimately hit the cap even here
         assert all(r.status == "converged" for r in tiny_table.records
                    if r.solver in ("pdca_e", "gist"))
-        assert not tiny_table.any_aborted
-        assert not tiny_table.any_inadmissible
+        assert all(r.status != "aborted" for r in tiny_table.records)
+        assert all(r.admissible for r in tiny_table.records)
 
     def test_instances_shared_across_lambdas(self):
         plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4), solvers=["pdca_e"])

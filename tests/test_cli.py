@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from dcopt.cli import main
-from dcopt.instances import load_instance
+from dcopt.instances import load_instance, save_instance
+from dcopt.solvers import SOLVERS
 
 TINY_PLAN_TEXT = """\
 grid = 20x50x3
@@ -142,6 +143,16 @@ class TestSolve:
                              "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e",
                              "--restart", "0", "--no-adaptive")
         assert rc == 0
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_solver_abort_is_exit_3(self, workdir, overflow_instance, solver):
+        save_instance(overflow_instance, "overflow.dcin")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, out, err = run_cli("solve", "--instance", "overflow.dcin",
+                                   "--reg", "l1-l2:lambda=1e-3", "--solver", solver)
+        assert rc == 3
+        assert out.startswith("0,aborted,")
+        assert "solver aborted: non-finite iterate at t=0" in err
 
     def test_missing_instance_is_exit_2(self, workdir):
         rc, _, err = run_cli("solve", "--instance", "nope.dcin",

@@ -10,7 +10,7 @@ import pytest
 from dcopt.diagnostics import check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance, generate_instance, objective
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
-from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
+from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, solve
 from oracles import grid_min_1d
 
 ALL_SPECS = [
@@ -166,26 +166,48 @@ class TestPdcaOnHandInstances:
 
 
 class TestSolveResultContract:
-    def test_trace_lengths_converged(self, small_instance, small_L):
-        res = solve(small_instance, L1MinusL2(1e-3),
-                    SolverConfig(algorithm="pdca_e", L_override=small_L))
+    @staticmethod
+    def assert_trace_contract(res, algorithm):
         t = res.iterations
         assert len(res.objective_trace) == t + 1
-        assert len(res.merit_trace) == t + 1
         assert len(res.step_norm_trace) == t
-        assert len(res.beta_trace) == t
+        assert (res.merit_trace is None) == (algorithm == "gist")
+        if res.merit_trace is not None:
+            assert len(res.merit_trace) == t + 1
+            assert res.merit_trace[0] == res.objective_trace[0]
+        assert (res.beta_trace is None) == (algorithm != "pdca_e")
+        if res.beta_trace is not None:
+            assert len(res.beta_trace) == t
+
+    @pytest.mark.parametrize("algorithm", SOLVERS)
+    def test_trace_contract_converged(self, algorithm, small_instance, small_L):
+        res = solve(small_instance, MCP(1e-3, 5.0),
+                    SolverConfig(algorithm=algorithm, L_override=small_L))
+        assert res.status == "converged"
+        self.assert_trace_contract(res, algorithm)
         assert res.objective_trace[0] == pytest.approx(
             0.5 * float(small_instance.b @ small_instance.b))
-        assert res.merit_trace[0] == res.objective_trace[0]
 
-    def test_trace_lengths_at_cap(self, small_instance, small_L):
+    @pytest.mark.parametrize("max_iter", [3, 7])
+    @pytest.mark.parametrize("algorithm", SOLVERS)
+    def test_trace_contract_at_cap(self, algorithm, max_iter, small_instance, small_L):
         res = solve(small_instance, L1MinusL2(1e-3),
-                    SolverConfig(algorithm="pdca", L_override=small_L, max_iter=7))
+                    SolverConfig(algorithm=algorithm, L_override=small_L, max_iter=max_iter))
         assert res.status == "iteration_cap"
-        assert res.iterations == 7
-        assert len(res.objective_trace) == 8
-        assert len(res.step_norm_trace) == 7
-        assert res.beta_trace is None
+        assert res.iterations == max_iter
+        assert res.message == ""
+        self.assert_trace_contract(res, algorithm)
+
+    @pytest.mark.parametrize("algorithm", SOLVERS)
+    def test_aborts_on_non_finite_iterate(self, algorithm, overflow_instance):
+        # grad f(0) = -A.T b overflows to -inf, so the first prox input is infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve(overflow_instance, L1MinusL2(1e-3), SolverConfig(algorithm=algorithm))
+        assert res.status == "aborted"
+        assert res.message == "non-finite iterate at t=0"
+        assert res.iterations == 0
+        assert np.array_equal(res.x_final, [0.0])
+        self.assert_trace_contract(res, algorithm)
 
     def test_final_objective_matches_trace(self, small_instance, small_L):
         spec = LogPenalty(1e-3, 0.5)
@@ -243,19 +265,6 @@ class TestGist:
         # nonmonotone in general, but never above F(0) given the M-window rule
         res = solve(small_instance, SCAD(1e-3, 3.7), SolverConfig(algorithm="gist"))
         assert np.all(res.objective_trace <= res.objective_trace[0] + 1e-12)
-
-    def test_trace_contract(self, small_instance):
-        res = solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm="gist"))
-        assert res.merit_trace is None
-        assert res.beta_trace is None
-        assert len(res.objective_trace) == res.iterations + 1
-        assert len(res.step_norm_trace) == res.iterations
-
-    def test_respects_iteration_cap(self, small_instance):
-        res = solve(small_instance, L1MinusL2(1e-3),
-                    SolverConfig(algorithm="gist", max_iter=3))
-        assert res.status == "iteration_cap"
-        assert res.iterations == 3
 
 
 class TestSolversAgree:
