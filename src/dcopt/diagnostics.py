@@ -1,4 +1,4 @@
-"""Merit function, per-iteration descent audit, and a stationarity residual.
+"""Per-iteration descent audit and a stationarity residual.
 
 The merit function E(x, y) = F(x) + (L/2)||x - y||^2 decreases along pdca
 iterates by at least (L/2)(1 - beta_t^2) ||x^t - x^{t-1}||^2 per step; the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import ProblemInstance, objective, smooth_eval
+from .instances import ProblemInstance, smooth_eval
 from .regularizers import RegularizerSpec, p1_prox, p2_subgrad
 from .solvers import SolveResult
 
@@ -26,22 +26,6 @@ class DescentReport:
     monotone: bool
 
 
-def merit_E(
-    inst: ProblemInstance,
-    spec: RegularizerSpec,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    L: float,
-) -> float:
-    """E(x, x_prev) = F(x) + (L/2) ||x - x_prev||^2."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    if x.shape != x_prev.shape:
-        raise ValueError("x and x_prev must have the same shape")
-    diff = x - x_prev
-    return objective(inst, spec, x) + 0.5 * L * float(diff @ diff)
-
-
 def check_descent(result: SolveResult, L: float) -> DescentReport:
     """Replay a pdca_e/pdca run's traces against the per-step descent bound.
 
@@ -50,8 +34,8 @@ def check_descent(result: SolveResult, L: float) -> DescentReport:
     pdca run), in which case betas are identically zero. The incoming step at
     t = 0 is zero because x^0 = x^{-1}.
     """
-    if result.merit_trace is None or result.step_norm_trace is None:
-        raise ValueError("check_descent needs merit and step-norm traces")
+    if result.merit_trace is None:
+        raise ValueError("check_descent needs a merit trace (a pdca_e or pdca run)")
     merit = np.asarray(result.merit_trace, dtype=np.float64)
     steps = np.asarray(result.step_norm_trace, dtype=np.float64)
     T = result.iterations
@@ -66,7 +50,7 @@ def check_descent(result: SolveResult, L: float) -> DescentReport:
         if betas.size != T:
             raise ValueError(f"beta trace length {betas.size} inconsistent with iterations={T}")
 
-    slack = 1e-8 * max(1.0, abs(float(merit[0])) if merit.size else 1.0)
+    slack = 1e-8 * max(1.0, abs(float(merit[0])))
     violations = 0
     max_shortfall = 0.0
     monotone = True

@@ -107,7 +107,7 @@ def _resolve_L(inst: ProblemInstance, cfg: SolverConfig) -> float:
         return cfg.L_override
     est = lmax_gram(inst.A)
     if not est.converged:
-        log.warning("pdca: lmax_gram did not converge; using best estimate %.6e", est.value)
+        log.warning("solve: lmax_gram did not converge; using best estimate %.6e", est.value)
     return est.value
 
 

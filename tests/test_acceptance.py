@@ -30,7 +30,6 @@ from dcopt.regularizers import (
     SCAD,
     TransformedL1,
     full_prox,
-    p2_lipschitz,
     p2_subgrad,
     prox_objective,
 )
@@ -211,7 +210,7 @@ def test_criterion_5_gradient_and_lipschitz():
     ]
     worst_excess = -np.inf
     for spec in smooth_specs:
-        lip = p2_lipschitz(spec)
+        lip = spec.p2_lipschitz
         for _ in range(1000):
             x = rng.normal(0.0, 3.0, size=5)
             y = x + rng.normal(0.0, rng.choice([1e-3, 0.3, 3.0]), size=5)

@@ -1,4 +1,4 @@
-"""Merit function, descent audit, and the stationarity residual."""
+"""The descent audit and the stationarity residual."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dcopt.diagnostics import check_descent, merit_E, stationarity_residual
-from dcopt.instances import ProblemInstance, objective
+from dcopt.diagnostics import check_descent, stationarity_residual
+from dcopt.instances import ProblemInstance
 from dcopt.regularizers import L1MinusL2, LogPenalty
 from dcopt.solvers import SolverConfig, solve
 
@@ -22,22 +22,6 @@ def identity_instance(b):
         seed=0,
         noise_scale=0.0,
     )
-
-
-class TestMeritE:
-    def test_equals_objective_when_points_coincide(self):
-        inst = identity_instance([1.0, 0.0])
-        spec = L1MinusL2(0.1)
-        x = np.array([0.3, 0.4])
-        assert merit_E(inst, spec, x, x, 2.0) == pytest.approx(
-            objective(inst, spec, x), abs=1e-15)
-
-    def test_hand_value(self):
-        # F(x) = 0.345 plus (L/2)||x - y||^2 = 1.0 * 0.25
-        inst = identity_instance([1.0, 0.0])
-        spec = L1MinusL2(0.1)
-        got = merit_E(inst, spec, np.array([0.3, 0.4]), np.zeros(2), 2.0)
-        assert got == pytest.approx(0.595, abs=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -19,14 +19,14 @@ from dcopt.regularizers import (
     SCAD,
     L1MinusL2,
     LogPenalty,
+    RegularizerSpec,
     TransformedL1,
+    _FAMILIES,
     _cubic_roots_shifted,
     _select_candidate,
     full_prox,
     make_spec,
     p1_prox,
-    p1_weight,
-    p2_lipschitz,
     p2_subgrad,
     parse_reg,
     parse_reg_family,
@@ -34,7 +34,7 @@ from dcopt.regularizers import (
     reg_value,
     soft_threshold,
 )
-from oracles import fd_gradient, grid_min_1d, prox_oracle, simpson
+from oracles import fd_gradient, grid_min_1d, prox_oracle, simpson, textbook_p1_weight
 
 SPECS = [
     L1MinusL2(0.8),
@@ -94,20 +94,20 @@ class TestConstruction:
 
 class TestWeights:
     def test_p1_weight_hand_values(self):
-        assert p1_weight(L1MinusL2(0.6)) == 0.6
-        assert p1_weight(LogPenalty(0.6, 0.25)) == pytest.approx(2.4)  # lam/eps
-        assert p1_weight(MCP(0.6, 3.0)) == 0.6
-        assert p1_weight(SCAD(0.6, 2.5)) == 0.6
+        assert L1MinusL2(0.6).weight == 0.6
+        assert LogPenalty(0.6, 0.25).weight == pytest.approx(2.4)  # lam/eps
+        assert MCP(0.6, 3.0).weight == 0.6
+        assert SCAD(0.6, 2.5).weight == 0.6
         # lam (a+1)/a = 0.6 * 1.5 / 0.5
-        assert p1_weight(TransformedL1(0.6, 0.5)) == pytest.approx(1.8)
+        assert TransformedL1(0.6, 0.5).weight == pytest.approx(1.8)
 
     def test_p2_lipschitz_hand_values(self):
-        assert p2_lipschitz(L1MinusL2(1.0)) is None  # kink at the origin
-        assert p2_lipschitz(LogPenalty(1.0, 0.5)) == pytest.approx(4.0)  # lam/eps^2
-        assert p2_lipschitz(MCP(1.0, 2.0)) == pytest.approx(0.5)  # 1/theta
-        assert p2_lipschitz(SCAD(1.0, 3.0)) == pytest.approx(0.5)  # 1/(theta-1)
+        assert L1MinusL2(1.0).p2_lipschitz is None  # kink at the origin
+        assert LogPenalty(1.0, 0.5).p2_lipschitz == pytest.approx(4.0)  # lam/eps^2
+        assert MCP(1.0, 2.0).p2_lipschitz == pytest.approx(0.5)  # 1/theta
+        assert SCAD(1.0, 3.0).p2_lipschitz == pytest.approx(0.5)  # 1/(theta-1)
         # 2 lam (a+1)/a^2 = 2 * 1 * 2 / 1
-        assert p2_lipschitz(TransformedL1(1.0, 1.0)) == pytest.approx(4.0)
+        assert TransformedL1(1.0, 1.0).p2_lipschitz == pytest.approx(4.0)
 
 
 class TestRegValue:
@@ -217,7 +217,7 @@ class TestP1Prox:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
     def test_solves_scalar_prox_problem(self, spec, rng):
         # independent route: refine-scan the scalar objective
-        w = p1_weight(spec)
+        w = textbook_p1_weight(spec)
         for _ in range(5):
             z = float(rng.uniform(-4.0, 4.0))
             mu = float(rng.uniform(0.2, 2.0))
@@ -297,7 +297,7 @@ class TestP2Subgrad:
 
     @pytest.mark.parametrize("spec", SMOOTH_P2, ids=lambda s: type(s).__name__)
     def test_lipschitz_bound(self, spec, rng):
-        lip = p2_lipschitz(spec)
+        lip = spec.p2_lipschitz
         for _ in range(200):
             x = rng.uniform(-8.0, 8.0, size=4)
             y = rng.uniform(-8.0, 8.0, size=4)
@@ -522,6 +522,11 @@ class TestParsers:
         assert spec == LogPenalty(1e-3, 0.5)
         spec = make_spec("tl1", **{"lambda": 0.2, "a": 0.7})
         assert spec == TransformedL1(0.2, 0.7)
+
+    def test_registry_lists_every_family(self):
+        # a family class missing from the registry cannot be parsed
+        assert set(_FAMILIES.values()) == set(RegularizerSpec.__subclasses__())
+        assert all(_FAMILIES[cls.name] is cls for cls in _FAMILIES.values())
 
     def test_make_spec_rejects_bad_params(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dcopt import solvers as solvers_module
 from dcopt.diagnostics import check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance, generate_instance, objective
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
@@ -234,6 +235,33 @@ class TestSolveResultContract:
         auto = solve(small_instance, spec, SolverConfig(algorithm="pdca_e"))
         manual = solve(small_instance, spec, SolverConfig(algorithm="pdca_e", L_override=small_L))
         assert np.array_equal(auto.x_final, manual.x_final)
+
+
+class TestRegularizerCalls:
+    """Each solver calls the regularizer layer through the names in dcopt.solvers.
+
+    perfbench's traced run wraps exactly these names to time the layer per
+    solver; a solver that bypassed them would make those metrics read 0.
+    """
+
+    CALLED = {
+        "gist": {"full_prox", "reg_value"},
+        "pdca_e": {"p1_prox", "p2_subgrad", "reg_value"},
+        "pdca": {"p1_prox", "p2_subgrad", "reg_value"},
+    }
+
+    @pytest.mark.parametrize("algorithm", SOLVERS)
+    def test_calls_go_through_module_names(self, algorithm, monkeypatch, small_instance, small_L):
+        calls = dict.fromkeys(("p1_prox", "p2_subgrad", "reg_value", "full_prox"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(solvers_module, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(solvers_module, name, counted)
+        res = solve(small_instance, TransformedL1(1e-3, 1.0),
+                    SolverConfig(algorithm=algorithm, L_override=small_L, max_iter=4))
+        assert res.iterations == 4
+        assert {name for name, n in calls.items() if n} == self.CALLED[algorithm]
 
 
 class TestGist:
