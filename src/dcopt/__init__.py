@@ -2,116 +2,45 @@
 
 Solvers (pDCA with FISTA-style extrapolation and restarts, plain pDCA, GIST),
 five DC regularizers, a seeded instance generator, invariant diagnostics, and
-a benchmark driver with a CLI.
+a benchmark driver with a CLI. The names below are the ones used from outside
+the package; everything else is imported from its own module.
 """
 
-from .bench import (
-    BenchmarkPlan,
-    CellRow,
-    CellStats,
-    InvariantViolation,
-    ResultTable,
-    RunRecord,
-    nontiming_fingerprint,
-    parse_plan,
-    render_table,
-    replicate_seed,
-    run_benchmark,
-)
-from .diagnostics import DescentReport, check_descent, stationarity_residual
+from .bench import nontiming_fingerprint, parse_plan, replicate_seed, run_benchmark
+from .diagnostics import check_descent, stationarity_residual
 from .instances import (
     ProblemInstance,
-    SmoothEval,
     generate_instance,
     l12_lambda_bound,
     load_instance,
     objective,
     save_instance,
-    smooth_eval,
 )
-from .linalg import (
-    LmaxResult,
-    RandomSource,
-    combine_seed,
-    gauss_vector,
-    lmax_gram,
-    mix64,
-)
-from .regularizers import (
-    MCP,
-    SCAD,
-    L1MinusL2,
-    LogPenalty,
-    RegularizerSpec,
-    TransformedL1,
-    full_prox,
-    make_spec,
-    p1_prox,
-    p2_subgrad,
-    parse_reg,
-    parse_reg_family,
-    prox_objective,
-    reg_value,
-    soft_threshold,
-)
-from .solvers import (
-    ExtrapolationState,
-    SolveResult,
-    SolverConfig,
-    next_beta,
-    solve,
-)
+from .linalg import RandomSource, lmax_gram
+from .regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, parse_reg
+from .solvers import SolverConfig, solve
 
 __all__ = [
-    "BenchmarkPlan",
-    "CellRow",
-    "CellStats",
-    "DescentReport",
-    "ExtrapolationState",
-    "InvariantViolation",
     "L1MinusL2",
-    "LmaxResult",
     "LogPenalty",
     "MCP",
     "ProblemInstance",
     "RandomSource",
-    "RegularizerSpec",
-    "ResultTable",
-    "RunRecord",
     "SCAD",
-    "SmoothEval",
-    "SolveResult",
     "SolverConfig",
     "TransformedL1",
     "check_descent",
-    "combine_seed",
-    "full_prox",
-    "gauss_vector",
     "generate_instance",
     "l12_lambda_bound",
     "lmax_gram",
     "load_instance",
-    "make_spec",
-    "mix64",
-    "next_beta",
     "nontiming_fingerprint",
     "objective",
-    "p1_prox",
-    "p2_subgrad",
     "parse_plan",
     "parse_reg",
-    "parse_reg_family",
-    "prox_objective",
-    "reg_value",
-    "render_table",
     "replicate_seed",
     "run_benchmark",
     "save_instance",
-    "smooth_eval",
-    "soft_threshold",
     "solve",
     "stationarity_residual",
-    "version",
 ]
-
-version = "0.1.0"

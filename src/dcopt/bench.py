@@ -50,6 +50,10 @@ class BenchmarkPlan:
                 raise ValueError(f"unknown solver {name!r}")
         if not self.solvers:
             raise ValueError("plan needs at least one solver")
+        for what, entries in (("grid cell", [tuple(c) for c in self.grid]),
+                              ("lambda", self.lambdas), ("solver", self.solvers)):
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"plan repeats a {what}")
         # fail fast on a malformed family/params combination or a bad weight
         for lam in self.lambdas:
             make_spec(self.reg_family, **{"lambda": lam, **self.reg_params})
@@ -143,8 +147,33 @@ class CellRow:
 
 @dataclass
 class ResultTable:
-    rows: list[CellRow]
     records: list[RunRecord]
+
+    @property
+    def rows(self) -> list[CellRow]:
+        """Per-(cell, lambda) means over the records, in the order first seen.
+
+        Sums run in record order. t_lmax is averaged over a cell's replicates.
+        """
+        runs: dict[tuple, dict[str, list[RunRecord]]] = {}
+        lmax: dict[tuple, dict[int, float]] = {}
+        for r in self.records:
+            runs.setdefault((r.m, r.n, r.s, r.lam), {}).setdefault(r.solver, []).append(r)
+            lmax.setdefault((r.m, r.n, r.s), {})[r.replicate] = r.t_lmax
+        rows = []
+        for (m, n, s, lam), by_solver in runs.items():
+            per_rep = lmax[(m, n, s)]
+            stats = {
+                name: CellStats(
+                    iter_mean=sum(r.iterations for r in rs) / len(rs),
+                    cap_fraction=sum(r.status == "iteration_cap" for r in rs) / len(rs),
+                    cpu_mean=sum(r.wall_seconds for r in rs) / len(rs),
+                    fval_mean=sum(r.fval for r in rs) / len(rs),
+                )
+                for name, rs in by_solver.items()
+            }
+            rows.append(CellRow(m, n, s, lam, sum(per_rep.values()) / len(per_rep), stats))
+        return rows
 
 
 def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> int:
@@ -206,7 +235,7 @@ def _run_cell_replicate(
 
 
 def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> ResultTable:
-    """Run every (cell, replicate, lambda, solver) combination and aggregate.
+    """Run every (cell, replicate, lambda, solver) combination, in plan order.
 
     Instances and their L are computed once per (cell, replicate) and shared
     across lambdas and solvers; solver wall times therefore never include the
@@ -223,27 +252,7 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> ResultTable:
             futures = [pool.submit(_run_cell_replicate, plan, cell, rep) for cell, rep in units]
             batches = [f.result() for f in futures]
 
-    records = [rec for batch in batches for rec in batch]
-
-    rows: list[CellRow] = []
-    for cell in plan.grid:
-        m, n, s = cell
-        cell_recs = [r for r in records if (r.m, r.n, r.s) == cell]
-        per_rep_lmax = {r.replicate: r.t_lmax for r in cell_recs}
-        t_lmax_mean = sum(per_rep_lmax.values()) / len(per_rep_lmax)
-        for lam in plan.lambdas:
-            stats: dict[str, CellStats] = {}
-            for solver_name in plan.solvers:
-                runs = [r for r in cell_recs if r.lam == lam and r.solver == solver_name]
-                count = len(runs)
-                stats[solver_name] = CellStats(
-                    iter_mean=sum(r.iterations for r in runs) / count,
-                    cap_fraction=sum(r.status == "iteration_cap" for r in runs) / count,
-                    cpu_mean=sum(r.wall_seconds for r in runs) / count,
-                    fval_mean=sum(r.fval for r in runs) / count,
-                )
-            rows.append(CellRow(m=m, n=n, s=s, lam=lam, t_lmax_mean=t_lmax_mean, stats=stats))
-    return ResultTable(rows=rows, records=records)
+    return ResultTable([rec for batch in batches for rec in batch])
 
 
 _CSV_HEADER = (
@@ -268,16 +277,17 @@ def _row_cells(row: CellRow) -> list[str]:
 
 def render_table(table: ResultTable, fmt: str = "csv") -> str:
     """Render the aggregated table as csv or markdown (same columns)."""
-    if not table.rows:
+    rows = table.rows
+    if not rows:
         raise ValueError("cannot render an empty table")
     if fmt == "csv":
         lines = [_CSV_HEADER]
-        lines.extend(",".join(_row_cells(row)) for row in table.rows)
+        lines.extend(",".join(_row_cells(row)) for row in rows)
         return "\n".join(lines)
     if fmt == "markdown":
         header = _CSV_HEADER.split(",")
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in table.rows)
+        lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in rows)
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -352,14 +352,6 @@ def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
     return point
 
 
-def prox_objective(spec: RegularizerSpec, z: np.ndarray, L_t: float, u: np.ndarray) -> float:
-    """The full_prox subproblem objective at u; the score tests compare proxes by."""
-    z = np.asarray(z, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    p1, p2 = reg_value(spec, u)
-    return 0.5 * L_t * float(np.sum((u - z) ** 2)) + p1 - p2
-
-
 # ---------------------------------------------------------------------------
 # textual spec syntax used by the CLI and plan files
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Everything here is written the slow, obvious way on purpose: plain Python
 loops, textbook formulas, no code shared with dcopt beyond numpy arrays as
 containers. When a test compares dcopt against one of these, the two sides
 were derived separately, so agreement is evidence rather than tautology.
-The one exception is prox_oracle, which scores its two exact anchor points
-with dcopt's prox_objective, the same function the tests use to score both
-sides of a comparison; its grid scan uses the textbook penalties below.
+The one exception is prox_objective, which reads P1 and P2 from dcopt's
+reg_value. The tests score both sides of a prox comparison with it, and
+prox_oracle scores its two exact anchor points with it; the oracle's grid
+scan uses the textbook penalties below.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from dcopt.regularizers import prox_objective
+from dcopt.regularizers import reg_value
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -142,6 +143,14 @@ def textbook_p1_weight(spec) -> float:
     if name == "TransformedL1":
         return spec.lam * (spec.a + 1.0) / spec.a
     return spec.lam
+
+
+def prox_objective(spec, z: np.ndarray, L_t: float, u: np.ndarray) -> float:
+    """The full_prox subproblem objective (L_t/2)||u - z||^2 + P1(u) - P2(u)."""
+    z = np.asarray(z, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    p1, p2 = reg_value(spec, u)
+    return 0.5 * L_t * float(np.sum((u - z) ** 2)) + p1 - p2
 
 
 def prox_oracle(spec, z: np.ndarray, L_t: float) -> tuple[np.ndarray, float]:

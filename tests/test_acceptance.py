@@ -31,11 +31,10 @@ from dcopt.regularizers import (
     TransformedL1,
     full_prox,
     p2_subgrad,
-    prox_objective,
 )
 from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
 
-from oracles import fd_gradient, jacobi_lmax, prox_oracle
+from oracles import fd_gradient, jacobi_lmax, prox_objective, prox_oracle
 
 DESK_CELL = (720, 2560, 80)
 DESK_REPS = 10

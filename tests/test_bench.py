@@ -8,8 +8,6 @@ import pytest
 
 from dcopt.bench import (
     BenchmarkPlan,
-    CellRow,
-    CellStats,
     InvariantViolation,
     ResultTable,
     RunRecord,
@@ -33,6 +31,13 @@ TINY_PLAN = BenchmarkPlan(
 @pytest.fixture(scope="module")
 def tiny_table():
     return run_benchmark(TINY_PLAN, jobs=1)
+
+
+def record(solver, replicate=0, status="converged", iterations=10, fval=0.5):
+    """A hand-made run of cell 10x20x2 at lam 1e-3."""
+    return RunRecord(m=10, n=20, s=2, lam=1e-3, replicate=replicate, seed=0, solver=solver,
+                     iterations=iterations, status=status, fval=fval, residual=0.0,
+                     wall_seconds=1.0, t_lmax=0.5, lambda_bound=None, admissible=True)
 
 
 class TestParsePlan:
@@ -117,6 +122,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="grid cell"):
             BenchmarkPlan(grid=((10, 20, 2), cell), lambdas=(1e-3,), reg_family="l1-l2")
 
+    @pytest.mark.parametrize("repeat", [
+        {"grid": [(10, 20, 2)] * 2},
+        {"lambdas": [1e-3] * 2},
+        {"solvers": ["pdca_e"] * 2},
+    ], ids=["grid", "lambdas", "solvers"])
+    def test_rejects_repeated_entries(self, repeat):
+        plan = {"grid": [(10, 20, 2)], "lambdas": [1e-3], "reg_family": "l1-l2", **repeat}
+        with pytest.raises(ValueError, match="repeats"):
+            BenchmarkPlan(**plan)
+
 
 class TestReplicateSeed:
     def test_deterministic(self):
@@ -198,35 +213,29 @@ class TestRendering:
         assert len(lines) == 3
 
     def test_fval_format(self):
-        stats = {name: CellStats(iter_mean=100.0, cap_fraction=0.0,
-                                 cpu_mean=1.0, fval_mean=0.0297432)
-                 for name in ("gist", "pdca_e", "pdca")}
-        row = CellRow(m=720, n=2560, s=80, lam=5e-4, t_lmax_mean=1.0, stats=stats)
-        table = ResultTable(rows=[row], records=[])
+        table = ResultTable([record(name, fval=0.0297432) for name in ("gist", "pdca_e", "pdca")])
         assert "2.9743e-02" in render_table(table, "csv")
 
     def test_iter_cell_says_max_only_when_every_replicate_caps(self):
-        def mk(cap):
-            stats = {name: CellStats(iter_mean=5000.0, cap_fraction=cap,
-                                     cpu_mean=1.0, fval_mean=1.0)
-                     for name in ("gist", "pdca_e", "pdca")}
-            row = CellRow(m=10, n=20, s=2, lam=1e-3, t_lmax_mean=0.5, stats=stats)
-            return ResultTable(rows=[row], records=[])
+        def mk(capped):
+            return ResultTable([
+                record(name, replicate=rep, iterations=5000,
+                       status="iteration_cap" if rep < capped else "converged")
+                for rep in range(10) for name in ("gist", "pdca_e", "pdca")
+            ])
 
-        assert ",max," in render_table(mk(1.0), "csv").splitlines()[1]
-        assert "max" not in render_table(mk(0.9), "csv").splitlines()[1]
+        assert ",max," in render_table(mk(10), "csv").splitlines()[1]
+        assert "max" not in render_table(mk(9), "csv").splitlines()[1]
 
     def test_missing_solver_leaves_blank_cells(self):
-        stats = {"gist": CellStats(iter_mean=10.0, cap_fraction=0.0,
-                                   cpu_mean=0.1, fval_mean=0.5)}
-        row = CellRow(m=10, n=20, s=2, lam=1e-3, t_lmax_mean=0.5, stats=stats)
-        line = render_table(ResultTable(rows=[row], records=[]), "csv").splitlines()[1]
-        assert ",,," not in render_table(ResultTable(rows=[row], records=[]), "markdown")
+        table = ResultTable([record("gist")])
+        line = render_table(table, "csv").splitlines()[1]
+        assert ",,," not in render_table(table, "markdown")
         assert line.split(",")[5] == ""  # iter_pdcae absent
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            render_table(ResultTable(rows=[], records=[]), "csv")
+            render_table(ResultTable([]), "csv")
 
     def test_unknown_format_rejected(self, tiny_table):
         with pytest.raises(ValueError):
@@ -246,11 +255,16 @@ class TestFingerprint:
         slowed = [dataclasses.replace(r, wall_seconds=r.wall_seconds + 99.0,
                                       t_lmax=r.t_lmax + 99.0)
                   for r in tiny_table.records]
-        table = ResultTable(rows=tiny_table.rows, records=slowed)
+        table = ResultTable(slowed)
         assert nontiming_fingerprint(table) == nontiming_fingerprint(tiny_table)
 
     def test_sensitive_to_iterations(self, tiny_table):
         bumped = [dataclasses.replace(r, iterations=r.iterations + 1)
                   for r in tiny_table.records]
-        table = ResultTable(rows=tiny_table.rows, records=bumped)
+        table = ResultTable(bumped)
         assert nontiming_fingerprint(table) != nontiming_fingerprint(tiny_table)
+
+    def test_table_is_a_function_of_its_records(self, tiny_table):
+        rebuilt = ResultTable(list(tiny_table.records))
+        assert nontiming_fingerprint(rebuilt) == nontiming_fingerprint(tiny_table)
+        assert render_table(rebuilt, "csv") == render_table(tiny_table, "csv")

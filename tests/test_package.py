@@ -1,9 +1,34 @@
 """The package's public surface."""
 
+import inspect
+import re
+from pathlib import Path
+
 import dcopt
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in dcopt.__all__ if not hasattr(dcopt, name)]
     assert missing == []
     assert len(set(dcopt.__all__)) == len(dcopt.__all__)
+
+
+def test_benchmark_names_are_exported():
+    # perfbench reads dcopt.<name>; submodules such as dcopt.solvers are not exports
+    used = set()
+    for script in ("run.py", "probe_rss.py"):
+        used |= set(re.findall(r"\bdcopt\.(\w+)", (ROOT / "perfbench" / script).read_text()))
+    used = {name for name in used
+            if not name.startswith("__") and not inspect.ismodule(getattr(dcopt, name, None))}
+    assert {"solve", "generate_instance", "load_instance"} <= used
+    assert sorted(used - set(dcopt.__all__)) == []
+
+
+def test_readme_quick_start_names_are_exported():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"from dcopt import \(([^)]*)\)", readme).group(1)
+    names = {name.strip() for name in block.split(",") if name.strip()}
+    assert "solve" in names
+    assert sorted(names - set(dcopt.__all__)) == []

@@ -30,11 +30,17 @@ from dcopt.regularizers import (
     p2_subgrad,
     parse_reg,
     parse_reg_family,
-    prox_objective,
     reg_value,
     soft_threshold,
 )
-from oracles import fd_gradient, grid_min_1d, prox_oracle, simpson, textbook_p1_weight
+from oracles import (
+    fd_gradient,
+    grid_min_1d,
+    prox_objective,
+    prox_oracle,
+    simpson,
+    textbook_p1_weight,
+)
 
 SPECS = [
     L1MinusL2(0.8),
