@@ -51,7 +51,10 @@ class ProblemInstance:
             raise ValueError(f"b has shape {b.shape}, expected ({m},)")
         if gt.shape != (n,):
             raise ValueError(f"ground_truth has shape {gt.shape}, expected ({n},)")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        # a finite b @ b also bounds A.T @ b, since the columns have unit norm
+        with np.errstate(over="ignore"):
+            finite = np.all(np.isfinite(A)) and np.isfinite(b @ b)
+        if not finite:
             raise ValueError("A and b must be finite")
         norms = np.sqrt((A**2).sum(axis=0))
         if np.abs(norms - 1.0).max() > 1e-12:

@@ -25,10 +25,7 @@ _MASK = (1 << 64) - 1
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer on a Python int, reduced mod 2^64."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+    return int(_mix64_array(np.uint64(z & _MASK)))
 
 
 def combine_seed(*parts: int) -> int:
@@ -117,13 +114,6 @@ def gauss_vector(src: RandomSource, length: int) -> np.ndarray:
     return out[:length]
 
 
-def _check_matrix(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
-    return A
-
-
 class LmaxResult(NamedTuple):
     value: float
     converged: bool
@@ -133,41 +123,39 @@ class LmaxResult(NamedTuple):
 # Fixed seed for the power-iteration start vector; any constant works, it only
 # has to be the same on every call so estimates are reproducible.
 _LMAX_START_SEED = 0x5EED1A3A
+_LMAX_TOL = 1e-10  # relative change that counts as a hit; three in a row stop
+_LMAX_MAX_ITER = 10000
 
 
-def lmax_gram(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> LmaxResult:
+def lmax_gram(A: np.ndarray) -> LmaxResult:
     """Largest eigenvalue of A.T @ A by power iteration.
 
     Alternates A @ v and A.T @ w so A.T @ A is never formed. The estimate is the
     Rayleigh quotient ||A v||^2 at the current unit vector v, hence never an
-    overestimate. Stops once the relative change stays below `tol` for three
-    consecutive iterations (change-based stopping alone can quit early when
-    the spectral gap is tight). On budget exhaustion the best estimate is
-    returned with converged=False and a logged warning, never silently.
+    overestimate. Stops once the relative change stays below _LMAX_TOL for
+    three consecutive iterations (change-based stopping alone can quit early
+    when the spectral gap is tight). After _LMAX_MAX_ITER iterations the best
+    estimate is returned with converged=False and a logged warning, never
+    silently.
     """
-    A = _check_matrix(A)
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
     n = A.shape[1]
     src = RandomSource(_LMAX_START_SEED, stream_id=0)
+    # counter-based stream: every start vector is a prefix of one fixed sequence
+    # whose first entry is nonzero, so its norm is never 0
     v = gauss_vector(src, n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # cannot happen for Box-Muller output; belt and braces
-        v = np.ones(n)
-        nv = np.sqrt(float(n))
-    v /= nv
+    v /= np.linalg.norm(v)
 
     lam_prev = -1.0
     lam = 0.0
     hits = 0
-    for k in range(1, max_iter + 1):
+    for k in range(1, _LMAX_MAX_ITER + 1):
         w = A @ v
         lam = float(w @ w)
         if lam == 0.0:
-            # start vector fell in the null space; draw a fresh direction
+            # v is orthogonal to every row of A (the start is fixed); redraw
             v = gauss_vector(src, n)
             v /= np.linalg.norm(v)
             hits = 0
@@ -175,7 +163,7 @@ def lmax_gram(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> LmaxR
             continue
         u = A.T @ w
         v = u / np.linalg.norm(u)
-        if abs(lam - lam_prev) <= tol * lam:
+        if abs(lam - lam_prev) <= _LMAX_TOL * lam:
             hits += 1
             if hits >= 3:
                 return LmaxResult(lam, True, k)
@@ -185,7 +173,7 @@ def lmax_gram(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> LmaxR
 
     log.warning(
         "lmax_gram: no convergence in %d iterations (last estimate %.6e)",
-        max_iter,
+        _LMAX_MAX_ITER,
         lam,
     )
-    return LmaxResult(lam, False, max_iter)
+    return LmaxResult(lam, False, _LMAX_MAX_ITER)

@@ -8,18 +8,21 @@ module functions below, which hold the shared guards.
 
 Penalties are even in each coordinate, so a separable family's nonconvex prox
 is solved on |z_i| and the sign of z_i is reattached; l1-l2 couples the
-coordinates through the l2 term and has its own vector solution.
+coordinates through the l2 term and has its own vector solution. A separable
+family supplies only its closed-form candidates, with NaN for an invalid one;
+the shared prox adds the origin and keeps, per coordinate, the candidate of
+smallest objective.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
-_TIE_TOL = 1e-12  # candidates within this objective gap prefer the smaller |u|
+_TIE_TOL = 1e-12  # within this objective gap the smaller |u| wins: deterministic, sparse
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,8 @@ class RegularizerSpec:
     and above the family's floor, and defines p2(x) and p2_grad(x), a specific
     element of the subdifferential of P2 at x for lam > 0. A separable family
     also defines penalty(u), the per-coordinate P1 - P2 at u >= 0, and
-    candidates(az, ell): the closed-form minimizer candidates u > 0 on |z| and
-    where each is valid, k rows of shape (n,) each; prox adds the origin.
+    candidates(az, ell): a sequence of closed-form minimizer candidates u > 0
+    on az = |z|, each an array shaped like az or a scalar, NaN where invalid.
     """
 
     lam: float
@@ -58,11 +61,11 @@ class RegularizerSpec:
     def prox(self, z: np.ndarray, ell: float) -> np.ndarray:
         """argmin_u (ell/2) ||u - z||^2 + P1(u) - P2(u), for lam > 0 and finite z."""
         az = np.abs(z)
-        zeros, always = np.zeros_like(az), np.ones_like(az, dtype=bool)
-        cands, valid = self.candidates(az, ell)
-        cands = np.stack([zeros, *cands])
-        valid = np.stack([always, *valid])
-        return np.sign(z) * _select_candidate(az, ell, cands, valid, self.penalty)
+        u = np.stack(np.broadcast_arrays(np.zeros_like(az), *self.candidates(az, ell)))
+        u[np.isnan(u)] = 0.0  # an invalid candidate becomes a copy of the origin
+        phi = 0.5 * ell * (u - az) ** 2 + self.penalty(u)
+        near = phi <= phi.min(axis=0) + _TIE_TOL
+        return np.sign(z) * np.where(near, u, np.inf).min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,9 @@ class LogPenalty(RegularizerSpec):
         eps = self.eps
         # stationarity on u > 0: ell (u - z)(u + eps) + lam = 0
         disc = (az + eps) ** 2 - 4.0 * self.lam / ell
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        r_hi = ((az - eps) + sq) / 2.0
-        r_lo = ((az - eps) - sq) / 2.0
-        ok = disc >= 0.0
-        return (r_hi, r_lo), (ok & (r_hi > 0.0), ok & (r_lo > 0.0))
+        sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        roots = ((az - eps) + sq) / 2.0, ((az - eps) - sq) / 2.0
+        return [np.where(r > 0.0, r, np.nan) for r in roots]
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,9 @@ class MCP(RegularizerSpec):
         knee = th * lam
         denom = ell - 1.0 / th
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_in = (ell * az - lam) / denom
-        in_ok = (denom != 0.0) & (u_in > 0.0) & (u_in < knee)
-        always = np.ones_like(az, dtype=bool)
-        return (np.full_like(az, knee), np.where(in_ok, u_in, 0.0), az), (always, in_ok, az > knee)
+            u_in = (ell * az - lam) / denom  # +-inf or NaN at denom = 0 fail both bounds
+        return (knee, np.where((u_in > 0.0) & (u_in < knee), u_in, np.nan),
+                np.where(az > knee, az, np.nan))
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,11 @@ class SCAD(RegularizerSpec):
         lam, th = self.lam, self.theta
         knee = th * lam
         u1 = az - lam / ell
-        ok1 = (u1 > 0.0) & (u1 < lam)
         denom = ell * (th - 1.0) - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            u2 = (ell * az * (th - 1.0) - th * lam) / denom
-        ok2 = (denom != 0.0) & (u2 > lam) & (u2 < knee)
-        always = np.ones_like(az, dtype=bool)
-        cands = (np.full_like(az, lam), np.full_like(az, knee), np.where(ok1, u1, 0.0),
-                 np.where(ok2, u2, 0.0), az)
-        return cands, (always, always, ok1, ok2, az > knee)
+            u2 = (ell * az * (th - 1.0) - th * lam) / denom  # +-inf or NaN at denom = 0
+        return (lam, knee, np.where((u1 > 0.0) & (u1 < lam), u1, np.nan),
+                np.where((u2 > lam) & (u2 < knee), u2, np.nan), np.where(az > knee, az, np.nan))
 
 
 @dataclass(frozen=True)
@@ -243,8 +239,7 @@ class TransformedL1(RegularizerSpec):
         # stationarity on u > 0: (u - z)(u + a)^2 + lam a (a+1) / ell = 0
         c = lam * a * (a + 1.0) / ell
         roots = _cubic_roots_shifted(2.0 * a - az, a**2 - 2.0 * a * az, c - a**2 * az)
-        ok = np.isfinite(roots) & (roots > 0.0)
-        return np.where(ok, roots, 0.0), ok
+        return np.where(np.isfinite(roots) & (roots > 0.0), roots, np.nan)
 
 
 def reg_value(spec: RegularizerSpec, x: np.ndarray) -> tuple[float, float]:
@@ -276,26 +271,6 @@ def p2_subgrad(spec: RegularizerSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # full nonconvex prox: argmin_u (L_t/2) ||u - z||^2 + P1(u) - P2(u)
 # ---------------------------------------------------------------------------
-
-
-def _select_candidate(
-    az: np.ndarray,
-    ell: float,
-    cands: np.ndarray,
-    valid: np.ndarray,
-    pen: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Pick, per coordinate, the valid candidate with the smallest objective.
-
-    cands/valid have shape (k, n). Ties within _TIE_TOL go to the smaller u
-    so the map is deterministic and biased toward sparsity.
-    """
-    u = np.where(valid, cands, 0.0)
-    phi = 0.5 * ell * (u - az) ** 2 + pen(u)
-    phi = np.where(valid, phi, np.inf)
-    best = phi.min(axis=0)
-    near = phi <= best + _TIE_TOL
-    return np.where(near, u, np.inf).min(axis=0)
 
 
 def _cubic_roots_shifted(b2: np.ndarray, b1: np.ndarray, b0: np.ndarray) -> np.ndarray:

@@ -33,15 +33,21 @@ def small_L(small_instance):
 
 @pytest.fixture(scope="session")
 def overflow_instance():
-    """Valid data (one unit-norm column, finite b) on which A.T b overflows."""
-    return ProblemInstance(
+    """One unit-norm column and b = 1e308 * ones(4), on which A.T b overflows.
+
+    The constructor rejects this b, so it is set after a valid construction;
+    that is the only way to reach the solvers' non-finite-iterate guard.
+    """
+    inst = ProblemInstance(
         A=np.full((4, 1), 0.5),
-        b=np.full(4, 1e308),
+        b=np.zeros(4),
         ground_truth=np.zeros(1),
         support=np.array([0], dtype=np.int64),
         seed=0,
         noise_scale=0.0,
     )
+    object.__setattr__(inst, "b", np.full(4, 1e308))
+    return inst
 
 
 @pytest.fixture()

@@ -145,14 +145,23 @@ class TestSolve:
         assert rc == 0
 
     @pytest.mark.parametrize("solver", SOLVERS)
-    def test_solver_abort_is_exit_3(self, workdir, overflow_instance, solver):
-        save_instance(overflow_instance, "overflow.dcin")
+    def test_solver_abort_is_exit_3(self, monkeypatch, overflow_instance, solver):
+        # load would reject this b, so hand the instance to the command directly
+        monkeypatch.setattr("dcopt.cli.load_instance", lambda path: overflow_instance)
         with np.errstate(over="ignore", invalid="ignore"):
             rc, out, err = run_cli("solve", "--instance", "overflow.dcin",
                                    "--reg", "l1-l2:lambda=1e-3", "--solver", solver)
         assert rc == 3
         assert out.startswith("0,aborted,")
         assert "solver aborted: non-finite iterate at t=0" in err
+
+    def test_overflowing_b_is_exit_2_at_load(self, workdir, overflow_instance):
+        save_instance(overflow_instance, "overflow.dcin")
+        rc, out, err = run_cli("solve", "--instance", "overflow.dcin",
+                               "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e")
+        assert rc == 2
+        assert out == ""
+        assert "error: A and b must be finite" in err
 
     def test_missing_instance_is_exit_2(self, workdir):
         rc, _, err = run_cli("solve", "--instance", "nope.dcin",

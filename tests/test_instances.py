@@ -133,6 +133,12 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(np.eye(2), b, np.zeros(2), np.array([0]), 0, 0.0)
 
+    def test_rejects_b_whose_squared_norm_overflows(self):
+        # every entry is finite, but 0.5 ||b||^2 = F(0) is not
+        b = np.full(2, 1e154)
+        with pytest.raises(ValueError, match="A and b must be finite"):
+            ProblemInstance(np.eye(2), b, np.zeros(2), np.array([0]), 0, 0.0)
+
     def test_rejects_one_dimensional_A(self):
         with pytest.raises(ValueError, match="2-D"):
             ProblemInstance(np.ones(3), np.zeros(1), np.zeros(3), np.array([0]), 0, 0.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dcopt import linalg
 from dcopt.linalg import (
     LmaxResult,
     RandomSource,
@@ -173,24 +174,25 @@ class TestLmaxGram:
         assert isinstance(est, LmaxResult)
         assert est.iterations >= 1
 
-    def test_budget_exhaustion_warns(self, rng, caplog):
+    def test_budget_exhaustion_warns(self, rng, caplog, monkeypatch):
+        monkeypatch.setattr(linalg, "_LMAX_TOL", 1e-15)
+        monkeypatch.setattr(linalg, "_LMAX_MAX_ITER", 2)
         A = rng.standard_normal((8, 8))
         with caplog.at_level("WARNING"):
-            est = lmax_gram(A, tol=1e-15, max_iter=2)
+            est = lmax_gram(A)
         assert not est.converged
         assert est.value > 0.0
         assert any("lmax_gram" in r.message for r in caplog.records)
 
-    def test_zero_matrix(self):
-        est = lmax_gram(np.zeros((4, 3)), max_iter=20)
+    def test_zero_matrix(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_LMAX_MAX_ITER", 20)
+        est = lmax_gram(np.zeros((4, 3)))
         assert est.value == 0.0
         assert not est.converged
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            lmax_gram(np.eye(2), tol=0.0)
-        with pytest.raises(ValueError):
-            lmax_gram(np.eye(2), max_iter=0)
+        with pytest.raises(ValueError, match="2-D"):
+            lmax_gram(np.ones(3))
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=2**32))

@@ -8,6 +8,7 @@ penalty derivative, refining grid scans, and the dense prox oracle.
 from __future__ import annotations
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from dcopt.regularizers import (
     TransformedL1,
     _FAMILIES,
     _cubic_roots_shifted,
-    _select_candidate,
     full_prox,
     make_spec,
     p1_prox,
@@ -435,26 +435,33 @@ class TestProxObjective:
 
 
 class TestSelectCandidate:
+    """RegularizerSpec.prox at ell = 1 with a zero penalty: phi(u) = 0.5 (u - |z|)^2
+    over the origin and the given candidates."""
+
+    @staticmethod
+    def select(z, *cands):
+        # a stub, not a subclass: subclasses join the family registry check
+        stub = types.SimpleNamespace(candidates=lambda az, ell: cands, penalty=np.zeros_like)
+        return RegularizerSpec.prox(stub, np.array([z]), 1.0)[0]
+
     def test_tie_goes_to_smaller_magnitude(self):
-        pen0 = lambda u: np.zeros_like(u)
-        cands = np.array([[0.0], [1e-13]])
-        valid = np.ones((2, 1), dtype=bool)
-        got = _select_candidate(np.array([0.0]), 1.0, cands, valid, pen0)
-        assert got[0] == 0.0
+        assert self.select(0.0, np.array([1e-13])) == 0.0
 
     def test_invalid_candidates_are_skipped(self):
-        pen0 = lambda u: np.zeros_like(u)
-        cands = np.array([[0.0], [2.0]])
-        valid = np.array([[True], [False]])  # mask out the better candidate
-        got = _select_candidate(np.array([2.0]), 1.0, cands, valid, pen0)
-        assert got[0] == 0.0
+        assert self.select(2.0, np.array([np.nan])) == 0.0
 
     def test_picks_minimum(self):
-        pen0 = lambda u: np.zeros_like(u)
-        cands = np.array([[0.0], [2.0]])
-        valid = np.ones((2, 1), dtype=bool)
-        got = _select_candidate(np.array([2.0]), 1.0, cands, valid, pen0)
-        assert got[0] == 2.0
+        assert self.select(2.0, np.array([2.0])) == 2.0
+
+
+@pytest.mark.parametrize("spec", SMOOTH_P2, ids=lambda s: type(s).__name__)
+def test_candidates_are_nan_or_positive(spec, rng):
+    # ell = 0.4 is MCP's 1/theta and SCAD's 1/(theta - 1) for SPECS, where a
+    # candidate formula divides by zero
+    az = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 300)])
+    for ell in (1e-3, 0.4, 0.9, 3.0, 1e3):
+        for row in np.broadcast_arrays(az, *spec.candidates(az, ell))[1:]:
+            assert np.all(np.isnan(row) | (np.isfinite(row) & (row > 0.0)))
 
 
 class TestCubicRoots:
