@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import ProblemInstance, smooth_eval
+from .instances import ProblemInstance
 from .regularizers import RegularizerSpec, p1_prox, p2_subgrad
 from .solvers import SolveResult
 
@@ -82,7 +82,7 @@ def stationarity_residual(
     if L <= 0:
         raise ValueError("L must be positive")
     x = np.asarray(x, dtype=np.float64)
-    grad = smooth_eval(inst, x).gradient
+    grad = inst.A.T @ (inst.A @ x - inst.b)
     xi = p2_subgrad(spec, x)
     mapped = p1_prox(spec, x - (grad - xi) / L, 1.0 / L)
     return float(np.linalg.norm(x - mapped)) / max(1.0, float(np.linalg.norm(x)))

@@ -10,6 +10,7 @@ seed so changing s cannot perturb A for the same seed.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +27,27 @@ _STREAM_A = 0
 _STREAM_SUPPORT = 1
 _STREAM_SIGNAL = 2
 _STREAM_NOISE = 3
+
+# Words of A drawn per gauss_vector call. Even, so every block but the last
+# consumes whole Box-Muller pairs and the blocks concatenate to the one-shot
+# draw of the counter-based stream.
+_BLOCK_WORDS = 1 << 16
+
+
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    """np.sqrt((A**2).sum(axis=0)) bit for bit, without an (m, n) temporary.
+
+    numpy reduces axis 0 of a C-ordered A by adding the squared rows in order
+    into one running vector, so this does the same. A single column is summed
+    pairwise instead, so that case goes to numpy whole (its temporary is one
+    column).
+    """
+    if A.shape[1] == 1:
+        return np.sqrt((A**2).sum(axis=0))
+    sq = np.zeros(A.shape[1])
+    for row in A:
+        sq += row * row
+    return np.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -51,12 +73,13 @@ class ProblemInstance:
             raise ValueError(f"b has shape {b.shape}, expected ({m},)")
         if gt.shape != (n,):
             raise ValueError(f"ground_truth has shape {gt.shape}, expected ({n},)")
-        # a finite b @ b also bounds A.T @ b, since the columns have unit norm
+        # min and max propagate NaN and reach +-inf, with no temporary the size
+        # of A; a finite b @ b also bounds A.T @ b, since the columns have unit norm
         with np.errstate(over="ignore"):
-            finite = np.all(np.isfinite(A)) and np.isfinite(b @ b)
+            finite = np.isfinite([A.min(initial=0.0), A.max(initial=0.0), b @ b]).all()
         if not finite:
             raise ValueError("A and b must be finite")
-        norms = np.sqrt((A**2).sum(axis=0))
+        norms = _column_norms(A)
         if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("columns of A must have unit norm (within 1e-12)")
         if sup.size != np.unique(sup).size:
@@ -85,12 +108,6 @@ class ProblemInstance:
         return int(self.support.size)
 
 
-@dataclass(frozen=True)
-class SmoothEval:
-    value: float
-    gradient: np.ndarray
-
-
 def generate_instance(
     m: int, n: int, s: int, noise_scale: float = 0.01, seed: int = 0
 ) -> ProblemInstance:
@@ -107,14 +124,18 @@ def generate_instance(
         raise ValueError(f"s={s} exceeds n={n}")
 
     src_a = RandomSource(seed, _STREAM_A)
-    A = gauss_vector(src_a, m * n).reshape(m, n)
-    norms = np.sqrt((A**2).sum(axis=0))
+    A = np.empty((m, n))
+    words = A.reshape(-1)
+    for i in range(0, m * n, _BLOCK_WORDS):
+        block = words[i : i + _BLOCK_WORDS]
+        block[:] = gauss_vector(src_a, block.size)
+    norms = _column_norms(A)
     resampled = 0
     while np.any(norms == 0.0):  # probability zero; keep the contract airtight
         for j in np.flatnonzero(norms == 0.0):
             A[:, j] = gauss_vector(src_a, m)
             resampled += 1
-        norms = np.sqrt((A**2).sum(axis=0))
+        norms = _column_norms(A)
     if resampled:
         log.warning("generate_instance: resampled %d zero columns", resampled)
     A /= norms
@@ -133,12 +154,6 @@ def generate_instance(
     b = A @ ground_truth + noise_scale * noise
 
     return ProblemInstance(A, b, ground_truth, support, seed, noise_scale)
-
-
-def smooth_eval(inst: ProblemInstance, x: np.ndarray) -> SmoothEval:
-    """f(x) = 0.5 ||Ax - b||^2 and its gradient A.T (Ax - b)."""
-    r = inst.A @ x - inst.b
-    return SmoothEval(0.5 * float(r @ r), inst.A.T @ r)
 
 
 def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> float:
@@ -163,36 +178,41 @@ _HEADER = struct.Struct("<4sIQQQQd")  # magic, version, m, n, s, seed, noise_sca
 
 
 def save_instance(inst: ProblemInstance, path: str) -> None:
-    """Write the little-endian binary container (magic DCIN, version 1)."""
+    """Write the little-endian binary container (magic DCIN, version 1).
+
+    The arrays are written from their own buffers, not through byte copies.
+    """
     m, n, s = inst.m, inst.n, inst.s
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, m, n, s, inst.seed & _MASK, inst.noise_scale))
-        fh.write(np.ascontiguousarray(inst.A).tobytes())
-        fh.write(inst.b.tobytes())
-        fh.write(inst.ground_truth.tobytes())
-        fh.write(inst.support.astype("<u8").tobytes())
+        for arr, dtype in ((inst.A, "<f8"), (inst.b, "<f8"), (inst.ground_truth, "<f8"),
+                           (inst.support, "<u8")):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_instance(path: str) -> ProblemInstance:
-    """Read a container written by save_instance, re-validating the invariants."""
+    """Read a container written by save_instance, re-validating the invariants.
+
+    The file size is checked against the header before anything is allocated;
+    the arrays are then read in place.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{path}: truncated container")
-    magic, version, m, n, s, seed, noise_scale = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 8 * (m * n + m + n + s)
-    if len(blob) != expected:
-        raise ValueError(f"{path}: size {len(blob)} does not match header (expected {expected})")
-    off = _HEADER.size
-    A = np.frombuffer(blob, dtype="<f8", count=m * n, offset=off).reshape(m, n).copy()
-    off += 8 * m * n
-    b = np.frombuffer(blob, dtype="<f8", count=m, offset=off).copy()
-    off += 8 * m
-    gt = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    support = np.frombuffer(blob, dtype="<u8", count=s, offset=off).astype(np.int64)
-    return ProblemInstance(A, b, gt, support, int(seed), float(noise_scale))
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated container")
+        magic, version, m, n, s, seed, noise_scale = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        expected = _HEADER.size + 8 * (m * n + m + n + s)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: size {size} does not match header (expected {expected})")
+        arrays = (np.empty((m, n), "<f8"), np.empty(m, "<f8"), np.empty(n, "<f8"),
+                  np.empty(s, "<u8"))
+        for arr in arrays:
+            if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
+                raise ValueError(f"{path}: truncated container")
+    A, b, gt, support = arrays
+    return ProblemInstance(A, b, gt, support.astype(np.int64), int(seed), float(noise_scale))

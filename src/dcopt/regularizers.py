@@ -23,6 +23,9 @@ from typing import ClassVar
 import numpy as np
 
 _TIE_TOL = 1e-12  # within this objective gap the smaller |u| wins: deterministic, sparse
+# Above this |z_i| the candidate formulas can overflow (TL1 cubes |z_i|, and
+# the origin's objective squares it); see RegularizerSpec.prox.
+_HUGE = 1e100
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,21 @@ class RegularizerSpec:
         return None
 
     def prox(self, z: np.ndarray, ell: float) -> np.ndarray:
-        """argmin_u (ell/2) ||u - z||^2 + P1(u) - P2(u), for lam > 0 and finite z."""
+        """argmin_u (ell/2) ||u - z||^2 + P1(u) - P2(u), for lam > 0 and finite z.
+
+        The penalty's slope lies in [0, w], so a minimizer away from 0 lies in
+        [|z_i| - w/ell, |z_i|]. Where |z_i| > _HUGE and |z_i| - w/ell rounds to
+        |z_i|, the rounded minimizer is z_i itself, and the candidates are
+        scored on 0 there instead, which cannot overflow.
+        """
         az = np.abs(z)
-        u = np.stack(np.broadcast_arrays(np.zeros_like(az), *self.candidates(az, ell)))
+        flat = (az > _HUGE) & (az - self.weight / ell == az)
+        safe = np.where(flat, 0.0, az)
+        u = np.stack(np.broadcast_arrays(np.zeros_like(safe), *self.candidates(safe, ell)))
         u[np.isnan(u)] = 0.0  # an invalid candidate becomes a copy of the origin
-        phi = 0.5 * ell * (u - az) ** 2 + self.penalty(u)
+        phi = 0.5 * ell * (u - safe) ** 2 + self.penalty(u)
         near = phi <= phi.min(axis=0) + _TIE_TOL
-        return np.sign(z) * np.where(near, u, np.inf).min(axis=0)
+        return np.sign(z) * np.where(flat, az, np.where(near, u, np.inf).min(axis=0))
 
 
 @dataclass(frozen=True)

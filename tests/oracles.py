@@ -4,18 +4,22 @@ Everything here is written the slow, obvious way on purpose: plain Python
 loops, textbook formulas, no code shared with dcopt beyond numpy arrays as
 containers. When a test compares dcopt against one of these, the two sides
 were derived separately, so agreement is evidence rather than tautology.
-The one exception is prox_objective, which reads P1 and P2 from dcopt's
+There are two exceptions. prox_objective reads P1 and P2 from dcopt's
 reg_value. The tests score both sides of a prox comparison with it, and
 prox_oracle scores its two exact anchor points with it; the oracle's grid
-scan uses the textbook penalties below.
+scan uses the textbook penalties below. one_shot_instance draws from dcopt's
+RandomSource and gauss_vector, which splitmix_out and the linalg tests check
+on their own; what it cross-checks is how generate_instance assembles A.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from dcopt.linalg import RandomSource, gauss_vector
 from dcopt.regularizers import reg_value
 
 _MASK = (1 << 64) - 1
@@ -33,6 +37,41 @@ def splitmix_out(state: int, k: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def one_shot_instance(m: int, n: int, s: int, noise_scale: float, seed: int):
+    """The instance recipe with A drawn in one call: (A, b, ground_truth, support).
+
+    One gauss_vector call of m*n words, column norms from (A**2).sum(axis=0),
+    then the support (stream 1), signal (2) and noise (3) in generate_instance's
+    documented order.
+    """
+    src = RandomSource(seed, 0)
+    A = gauss_vector(src, m * n).reshape(m, n)
+    norms = np.sqrt((A**2).sum(axis=0))
+    A /= norms
+    src_t = RandomSource(seed, 1)
+    idx = list(range(n))
+    for j in range(s):
+        k = j + src_t.randbelow(n - j)
+        idx[j], idx[k] = idx[k], idx[j]
+    support = np.array(sorted(idx[:s]), dtype=np.int64)
+    ground_truth = np.zeros(n)
+    ground_truth[support] = gauss_vector(RandomSource(seed, 2), s)
+    b = A @ ground_truth + noise_scale * gauss_vector(RandomSource(seed, 3), m)
+    return A, b, ground_truth, support
+
+
+@dataclass(frozen=True)
+class SmoothEval:
+    value: float
+    gradient: np.ndarray
+
+
+def smooth_eval(inst, x: np.ndarray) -> SmoothEval:
+    """f(x) = 0.5 ||Ax - b||^2 and its gradient A.T (Ax - b)."""
+    r = inst.A @ x - inst.b
+    return SmoothEval(0.5 * float(r @ r), inst.A.T @ r)
 
 
 def jacobi_lmax(A: np.ndarray) -> float:

@@ -21,7 +21,7 @@ import pytest
 
 from dcopt.bench import BenchmarkPlan, nontiming_fingerprint, run_benchmark
 from dcopt.diagnostics import check_descent
-from dcopt.instances import generate_instance, l12_lambda_bound, smooth_eval
+from dcopt.instances import generate_instance, l12_lambda_bound
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import (
     L1MinusL2,
@@ -34,7 +34,7 @@ from dcopt.regularizers import (
 )
 from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
 
-from oracles import fd_gradient, jacobi_lmax, prox_objective, prox_oracle
+from oracles import fd_gradient, jacobi_lmax, prox_objective, prox_oracle, smooth_eval
 
 DESK_CELL = (720, 2560, 80)
 DESK_REPS = 10

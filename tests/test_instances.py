@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcopt
+from dcopt import instances
 from dcopt.instances import (
     ProblemInstance,
+    _column_norms,
     generate_instance,
     l12_lambda_bound,
     load_instance,
     objective,
     save_instance,
-    smooth_eval,
 )
 from dcopt.regularizers import L1MinusL2, LogPenalty
-from oracles import fd_gradient
+from oracles import fd_gradient, one_shot_instance, smooth_eval
 
 
 def hand_instance(b):
@@ -82,6 +90,34 @@ class TestGenerateInstance:
         b = generate_instance(10, 25, 3, noise_scale=0.02, seed=5)
         assert np.array_equal(a.A, b.A)
         assert not np.array_equal(a.b, b.b)
+
+    @pytest.mark.parametrize(
+        "m, n, s",
+        [
+            (1, 1, 1),
+            (1, 7, 3),  # one row, odd n
+            (3, 5, 2),  # odd m * n
+            (100, 1, 1),  # one column: numpy sums it pairwise
+            (1, 70001, 4),  # one row longer than a block
+            (5, 30001, 3),  # rows longer than a block, odd m * n
+            (300, 501, 10),  # several blocks, the last one ragged and odd
+        ],
+    )
+    def test_matches_one_shot_draw(self, m, n, s):
+        inst = generate_instance(m, n, s, noise_scale=0.05, seed=11)
+        ref = one_shot_instance(m, n, s, noise_scale=0.05, seed=11)
+        for got, want in zip((inst.A, inst.b, inst.ground_truth, inst.support), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+    @pytest.mark.parametrize(
+        "m, n", [(1, 1), (9, 1), (100, 1), (1, 9), (3, 5), (17, 33), (129, 7), (1000, 3), (257, 1001)]
+    )
+    def test_column_norms_match_numpy_bitwise(self, m, n, rng):
+        A = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
+        got = _column_norms(A)
+        assert got.tobytes() == np.sqrt((A**2).sum(axis=0)).tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -247,6 +283,30 @@ class TestContainer:
         with pytest.raises(ValueError, match="size"):
             load_instance(str(bad))
 
+    def test_rejects_header_claiming_huge_shape_before_allocating(self, tmp_path):
+        # m = n = 2^20 would be an 8 TiB A: the size check has to come first
+        inst = generate_instance(5, 9, 2, seed=1)
+        path = tmp_path / "inst.dcin"
+        save_instance(inst, str(path))
+        raw = bytearray(path.read_bytes()[:48])
+        raw[8:16] = raw[16:24] = (1 << 20).to_bytes(8, "little")
+        bad = tmp_path / "bad.dcin"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="size 48 does not match header"):
+            load_instance(str(bad))
+
+    def test_short_read_is_truncated(self, tmp_path, monkeypatch):
+        # a file that shrinks between the size check and the reads
+        inst = generate_instance(5, 9, 2, seed=1)
+        path = tmp_path / "inst.dcin"
+        save_instance(inst, str(path))
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        fake_os = types.SimpleNamespace(fstat=lambda fd: types.SimpleNamespace(st_size=full))
+        monkeypatch.setattr(instances, "os", fake_os)
+        with pytest.raises(ValueError, match="truncated container"):
+            load_instance(str(path))
+
     def test_loaded_instance_revalidates(self, tmp_path):
         # corrupt a payload byte inside A: the unit-norm check must catch it
         inst = generate_instance(5, 9, 2, seed=1)
@@ -258,3 +318,45 @@ class TestContainer:
         bad.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             load_instance(str(bad))
+
+
+# Runs one instance call in a fresh process and prints the growth of its peak
+# resident set (VmHWM) over its resident set just before the call (VmRSS), and
+# the bytes of A. ru_maxrss would not do: a child of a large process such as
+# the test runner starts with the parent's resident set as its ru_maxrss.
+_PEAK_PROBE = """
+import json, sys
+import dcopt
+def status_bytes(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
+op, arg = sys.argv[1:]
+before = status_bytes("VmRSS:")
+if op == "generate":
+    inst = dcopt.generate_instance(*(int(p) for p in arg.split("x")), noise_scale=0.01, seed=4)
+else:
+    inst = dcopt.load_instance(arg)
+print(json.dumps({"growth": status_bytes("VmHWM:") - before, "a_bytes": inst.A.nbytes}))
+"""
+
+
+def _peak_x_A(op: str, arg: str) -> float:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(dcopt.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE, op, arg], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    probe = json.loads(out.stdout)
+    assert probe["a_bytes"] == 1024 * 4096 * 8
+    return probe["growth"] / probe["a_bytes"]
+
+
+class TestPeakMemory:
+    """Peak resident growth of one call in a fresh process, for a 32 MiB A."""
+
+    def test_generate_peaks_near_A(self):
+        assert _peak_x_A("generate", "1024x4096x40") <= 1.5
+
+    def test_load_peaks_near_A(self, tmp_path):
+        path = tmp_path / "inst.dcin"
+        save_instance(generate_instance(1024, 4096, 40, seed=4), str(path))
+        assert _peak_x_A("load", str(path)) <= 1.2

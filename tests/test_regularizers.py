@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,18 @@ class TestFullProx:
         with pytest.raises(ValueError):
             full_prox(MCP(1.0, 2.0), np.array([np.inf]), 1.0)
 
+    @pytest.mark.parametrize("spec", SMOOTH_P2, ids=lambda s: type(s).__name__)
+    def test_huge_entries_return_z_without_overflow(self, spec):
+        # the minimizer lies within w/ell of |z_i|, far below one ulp here; the
+        # candidates used to overflow there (TL1 cubes |z_i|, the origin's
+        # objective squares it), leaving 0 for TL1 and log
+        z = np.array([2e154, 1.0, -1e103, -1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = full_prox(spec, z, 1.0)
+        assert np.array_equal(got[[0, 2, 3]], z[[0, 2, 3]])
+        assert got[1] == full_prox(spec, z[1:2], 1.0)[0]
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
     def test_objective_dominates_anchors(self, spec, rng):
         # the prox objective at the returned point never exceeds the
@@ -440,8 +453,10 @@ class TestSelectCandidate:
 
     @staticmethod
     def select(z, *cands):
-        # a stub, not a subclass: subclasses join the family registry check
-        stub = types.SimpleNamespace(candidates=lambda az, ell: cands, penalty=np.zeros_like)
+        # a stub, not a subclass: subclasses join the family registry check;
+        # weight is the steepest slope of its zero penalty
+        stub = types.SimpleNamespace(candidates=lambda az, ell: cands, penalty=np.zeros_like,
+                                     weight=0.0)
         return RegularizerSpec.prox(stub, np.array([z]), 1.0)[0]
 
     def test_tie_goes_to_smaller_magnitude(self):
