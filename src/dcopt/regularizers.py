@@ -247,10 +247,15 @@ class TransformedL1(RegularizerSpec):
 
     def candidates(self, az, ell):
         lam, a = self.lam, self.a
-        # stationarity on u > 0: (u - z)(u + a)^2 + lam a (a+1) / ell = 0
-        c = lam * a * (a + 1.0) / ell
-        roots = _cubic_roots_shifted(2.0 * a - az, a**2 - 2.0 * a * az, c - a**2 * az)
-        return np.where(np.isfinite(roots) & (roots > 0.0), roots, np.nan)
+        # zero wins for |z| <= t (Zhang & Xin, Math. Program. 2018; the margin leaves
+        # rounding at t to the selection). The stationarity cubic (u - z)(u + a)^2 +
+        # lam a (a+1) / ell has its smallest root below -a, its middle one at a local max of phi
+        r = 2.0 * lam * (a + 1.0) / ell
+        above = az > (r / (2.0 * a) if r <= a**2 else math.sqrt(r) - a / 2.0) * (1.0 - 1e-6)
+        z, c = az[above], lam * a * (a + 1.0) / ell
+        root = np.full(az.shape, np.nan)
+        root[above] = _largest_cubic_root(2.0 * a - z, a**2 - 2.0 * a * z, c - a**2 * z)
+        return (np.where(np.isfinite(root) & (root > 0.0), root, np.nan),)
 
 
 def reg_value(spec: RegularizerSpec, x: np.ndarray) -> tuple[float, float]:
@@ -284,40 +289,37 @@ def p2_subgrad(spec: RegularizerSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cubic_roots_shifted(b2: np.ndarray, b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
-    """Real roots of u^3 + b2 u^2 + b1 u + b0, shape (3, n); NaN where absent.
+def _largest_cubic_root(b2: np.ndarray, b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """The largest real root of u^3 + b2 u^2 + b1 u + b0.
 
-    Cardano / trigonometric form on the depressed cubic, then two Newton
-    polish steps to clean up cancellation.
+    Cardano's single real root where the discriminant is positive and finite,
+    else the largest trigonometric root of the depressed cubic, which also
+    serves where the discriminant's terms overflow (|b2| from about 1e51, where
+    they cancel to leading order); then two Newton polish steps.
     """
     p = b1 - b2**2 / 3.0
     q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-
-    # one real root (disc > 0)
-    sq = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    single = (disc > 0.0) & (disc < np.inf)
+    sq = np.sqrt(np.where(single, disc, 0.0))
     t_single = np.cbrt(-q / 2.0 + sq) + np.cbrt(-q / 2.0 - sq)
 
-    # three real roots (disc <= 0, which forces p <= 0)
+    # three real roots (disc <= 0 forces p <= 0); k = 0 is the largest
     pneg = np.minimum(p, 0.0)
     mcoef = 2.0 * np.sqrt(np.maximum(-pneg / 3.0, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_arg = np.where(mcoef > 0.0, 3.0 * q / (pneg * mcoef), 0.0)
     ang = np.arccos(np.clip(cos_arg, -1.0, 1.0)) / 3.0
-    roots = np.empty((3,) + b2.shape)
-    for k in range(3):
-        t_k = mcoef * np.cos(ang - 2.0 * np.pi * k / 3.0)
-        roots[k] = np.where(disc > 0.0, np.nan, t_k)
-    roots[0] = np.where(disc > 0.0, t_single, roots[0])
-    roots -= b2 / 3.0
+    root = np.where(single, t_single, mcoef * np.cos(ang)) - b2 / 3.0
 
     # Newton polish on g(u) = u^3 + b2 u^2 + b1 u + b0
     for _ in range(2):
-        g = roots**3 + b2 * roots**2 + b1 * roots + b0
-        gp = 3.0 * roots**2 + 2.0 * b2 * roots + b1
+        g = root**3 + b2 * root**2 + b1 * root + b0
+        gp = 3.0 * root**2 + 2.0 * b2 * root + b1
         step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
-        roots = roots - np.where(np.isfinite(step), step, 0.0)
-    return roots
+        root = root - np.where(np.isfinite(step), step, 0.0)
+    return root
 
 
 def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
@@ -332,7 +334,7 @@ def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
-    point = z.copy() if spec.lam == 0.0 else spec.prox(z, L_t)
+    point = z.copy() if spec.lam == 0.0 else spec.prox(np.atleast_1d(z), L_t).reshape(z.shape)
     if not np.all(np.isfinite(point)):
         raise ValueError("full_prox produced a non-finite candidate")
     return point

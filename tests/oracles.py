@@ -4,12 +4,15 @@ Everything here is written the slow, obvious way on purpose: plain Python
 loops, textbook formulas, no code shared with dcopt beyond numpy arrays as
 containers. When a test compares dcopt against one of these, the two sides
 were derived separately, so agreement is evidence rather than tautology.
-There are two exceptions. prox_objective reads P1 and P2 from dcopt's
+There are three exceptions. prox_objective reads P1 and P2 from dcopt's
 reg_value. The tests score both sides of a prox comparison with it, and
 prox_oracle scores its two exact anchor points with it; the oracle's grid
 scan uses the textbook penalties below. one_shot_instance draws from dcopt's
 RandomSource and gauss_vector, which splitmix_out and the linalg tests check
 on their own; what it cross-checks is how generate_instance assembles A.
+tl1_prox_three_roots is not independent on purpose: it is the TL1 prox as it
+was before full_prox kept only the largest cubic root above the zero
+threshold, and the tests require the two to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -246,3 +249,63 @@ def prox_oracle(spec, z: np.ndarray, L_t: float) -> tuple[np.ndarray, float]:
     slope = L_t * reach + 2.0 * w * np.sqrt(d)
     gap = slope * float(spacing.max()) * np.sqrt(d) / 2.0
     return best_u, gap
+
+
+def cubic_roots_shifted(b2: np.ndarray, b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """Real roots of u^3 + b2 u^2 + b1 u + b0, shape (3, n); NaN where absent.
+
+    Cardano / trigonometric form on the depressed cubic, then two Newton
+    polish steps to clean up cancellation. Overflows (with warnings) once
+    (q/2)^2 does, from |b2| of about 1e51.
+    """
+    p = b1 - b2**2 / 3.0
+    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+
+    # one real root (disc > 0)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_single = np.cbrt(-q / 2.0 + sq) + np.cbrt(-q / 2.0 - sq)
+
+    # three real roots (disc <= 0, which forces p <= 0)
+    pneg = np.minimum(p, 0.0)
+    mcoef = 2.0 * np.sqrt(np.maximum(-pneg / 3.0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_arg = np.where(mcoef > 0.0, 3.0 * q / (pneg * mcoef), 0.0)
+    ang = np.arccos(np.clip(cos_arg, -1.0, 1.0)) / 3.0
+    roots = np.empty((3,) + b2.shape)
+    for k in range(3):
+        t_k = mcoef * np.cos(ang - 2.0 * np.pi * k / 3.0)
+        roots[k] = np.where(disc > 0.0, np.nan, t_k)
+    roots[0] = np.where(disc > 0.0, t_single, roots[0])
+    roots -= b2 / 3.0
+
+    # Newton polish on g(u) = u^3 + b2 u^2 + b1 u + b0
+    for _ in range(2):
+        g = roots**3 + b2 * roots**2 + b1 * roots + b0
+        gp = 3.0 * roots**2 + 2.0 * b2 * roots + b1
+        step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
+        roots = roots - np.where(np.isfinite(step), step, 0.0)
+    return roots
+
+
+def tl1_prox_three_roots(spec, z: np.ndarray, ell: float) -> np.ndarray:
+    """The TL1 full prox from all three cubic roots, for 1-d finite z and lam > 0.
+
+    Candidates are the origin and every positive root of the stationarity
+    cubic (u - |z|)(u + a)^2 + lam a (a+1) / ell on every coordinate; per
+    coordinate the candidate of least objective wins, the smaller one within
+    1e-12. Where |z_i| > 1e100 and |z_i| - w/ell rounds to |z_i|, the answer
+    is z_i. Overflow warnings for 1e51 < |z_i| <= 1e100 are silenced.
+    """
+    lam, a = spec.lam, spec.a
+    az = np.abs(z)
+    flat = (az > 1e100) & (az - lam * (a + 1.0) / a / ell == az)
+    safe = np.where(flat, 0.0, az)
+    c = lam * a * (a + 1.0) / ell
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = cubic_roots_shifted(2.0 * a - safe, a**2 - 2.0 * a * safe, c - a**2 * safe)
+    u = np.concatenate([np.zeros((1,) + safe.shape),
+                        np.where(np.isfinite(roots) & (roots > 0.0), roots, 0.0)])
+    phi = 0.5 * ell * (u - safe) ** 2 + lam * (a + 1.0) * u / (a + u)
+    near = phi <= phi.min(axis=0) + 1e-12
+    return np.sign(z) * np.where(flat, az, np.where(near, u, np.inf).min(axis=0))

@@ -24,7 +24,7 @@ from dcopt.regularizers import (
     RegularizerSpec,
     TransformedL1,
     _FAMILIES,
-    _cubic_roots_shifted,
+    _largest_cubic_root,
     full_prox,
     make_spec,
     p1_prox,
@@ -41,6 +41,7 @@ from oracles import (
     prox_oracle,
     simpson,
     textbook_p1_weight,
+    tl1_prox_three_roots,
 )
 
 SPECS = [
@@ -376,6 +377,25 @@ class TestFullProx:
             got = full_prox(spec, z, 1.0)
         assert np.array_equal(got[[0, 2, 3]], z[[0, 2, 3]])
         assert got[1] == full_prox(spec, z[1:2], 1.0)[0]
+        # no warning either from 1e40 up (TL1's discriminant overflows from about
+        # 1e51), and each result in [|z| - w/ell, |z|], give or take one ulp at
+        # each end, where TL1's polished cubic root can land
+        z = np.concatenate([np.logspace(40, 100, 121), -np.logspace(40, 100, 121)])
+        az = np.abs(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ell in (1e-3, 1.0, 1e3):
+                got = full_prox(spec, z, ell)
+                assert np.array_equal(np.sign(got), np.sign(z))
+                lo = az - spec.weight / ell
+                assert np.all((np.abs(got) >= lo - np.spacing(lo)) & (np.abs(got) <= az + np.spacing(az)))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    def test_zero_d_input_gives_zero_d_result(self, spec):
+        for z in (np.float64(0.7), -2.5, np.array(0.0)):
+            got = full_prox(spec, z, 1.3)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert np.array_equal(got, full_prox(spec, np.array([z]), 1.3)[0])
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
     def test_objective_dominates_anchors(self, spec, rng):
@@ -480,29 +500,89 @@ def test_candidates_are_nan_or_positive(spec, rng):
 
 
 class TestCubicRoots:
+    """_largest_cubic_root, the TL1 prox candidate."""
+
     def test_known_triple(self):
         # (u-1)(u-2)(u-3) = u^3 - 6u^2 + 11u - 6
-        roots = _cubic_roots_shifted(np.array([-6.0]), np.array([11.0]), np.array([-6.0]))
-        assert np.allclose(np.sort(roots[:, 0]), [1.0, 2.0, 3.0], atol=1e-9)
+        root = _largest_cubic_root(np.array([-6.0]), np.array([11.0]), np.array([-6.0]))
+        assert root[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_single_real_root(self):
-        # u^3 = 1 has one real root
-        roots = _cubic_roots_shifted(np.array([0.0]), np.array([0.0]), np.array([-1.0]))
-        finite = roots[np.isfinite(roots[:, 0]), 0]
-        assert finite.size == 1
-        assert finite[0] == pytest.approx(1.0, abs=1e-12)
+        # u^3 = 1 and (u - 2)(u^2 + 1) = u^3 - 2u^2 + u - 2 have one real root each
+        root = _largest_cubic_root(np.array([0.0, -2.0]), np.array([0.0, 1.0]),
+                                   np.array([-1.0, -2.0]))
+        assert root == pytest.approx([1.0, 2.0], abs=1e-12)
 
     def test_random_coefficients_satisfy_equation(self, rng):
-        b2 = rng.uniform(-5.0, 5.0, size=50)
-        b1 = rng.uniform(-5.0, 5.0, size=50)
-        b0 = rng.uniform(-5.0, 5.0, size=50)
-        roots = _cubic_roots_shifted(b2, b1, b0)
-        for k in range(3):
-            r = roots[k]
-            ok = np.isfinite(r)
-            res = r[ok] ** 3 + b2[ok] * r[ok] ** 2 + b1[ok] * r[ok] + b0[ok]
-            scale = 1.0 + np.abs(r[ok]) ** 3
-            assert np.all(np.abs(res) <= 1e-7 * scale)
+        # and the root is the largest real one
+        b2, b1, b0 = rng.uniform(-5.0, 5.0, size=(3, 50))
+        root = _largest_cubic_root(b2, b1, b0)
+        res = root**3 + b2 * root**2 + b1 * root + b0
+        assert np.all(np.abs(res) <= 1e-7 * (1.0 + np.abs(root) ** 3))
+        for k in range(50):
+            # numpy's companion-matrix eigenvalues, an independent route
+            ref = np.roots([1.0, b2[k], b1[k], b0[k]])
+            assert root[k] == pytest.approx(ref[np.abs(ref.imag) < 1e-6].real.max(), abs=1e-6)
+
+
+def _tl1_threshold(spec, ell):
+    """Zhang & Xin's zero threshold of the scaled TL1 prox, lam' = lam / ell."""
+    lam, a = spec.lam / ell, spec.a
+    if lam <= a**2 / (2.0 * (a + 1.0)):
+        return lam * (a + 1.0) / a
+    return math.sqrt(2.0 * lam * (a + 1.0)) - a / 2.0
+
+
+def _tl1_specs():
+    """(spec, ell) pairs over ell in 1e-3 ... 1e3, each on both sides of
+    lam / ell = a^2 / (2 (a+1)), where the threshold changes formula."""
+    cases = []
+    for a in (0.3, 1.0, 4.0):
+        knee = a**2 / (2.0 * (a + 1.0))
+        for ell in np.logspace(-3.0, 3.0, 7):
+            for factor in (0.2, 0.999, 1.001, 5.0):
+                cases.append((TransformedL1(factor * knee * ell, a), float(ell)))
+    return cases
+
+
+class TestTL1ProxAgainstThreeRoots:
+    """full_prox keeps only the largest cubic root above the zero threshold;
+    it must return the bits of the prox that scores all three roots."""
+
+    @staticmethod
+    def inputs(t):
+        tiny = [0.0, -0.0, 5e-324, -5e-324]
+        grid = np.logspace(-3.0, 100.0, 1031)
+        band = t * (1.0 + np.linspace(-3e-6, 3e-6, 25))
+        z = np.concatenate([tiny, grid, -grid, band, -band])
+        return np.concatenate([z, np.random.default_rng(3).permutation(z)])
+
+    @pytest.mark.parametrize("spec, ell", _tl1_specs())
+    def test_bit_identical(self, spec, ell):
+        z = self.inputs(_tl1_threshold(spec, ell))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = full_prox(spec, z, ell)
+        ref = tl1_prox_three_roots(spec, z, ell)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("spec, ell", _tl1_specs()[::5])
+    def test_zero_d_and_empty(self, spec, ell):
+        for z in (0.0, -0.0, 0.37, -12.5, 3e60):
+            got = full_prox(spec, np.float64(z), ell)
+            ref = tl1_prox_three_roots(spec, np.array([z]), ell)
+            assert got.shape == () and got.tobytes() == ref.tobytes()
+        assert full_prox(spec, np.zeros(0), ell).shape == (0,)
+
+    @pytest.mark.parametrize("spec, ell", _tl1_specs()[::3])
+    def test_below_threshold_is_signed_zero(self, spec, ell):
+        t = _tl1_threshold(spec, ell)
+        z = t * (1.0 - 1e-6) * np.linspace(-1.0, 1.0, 401)
+        got = full_prox(spec, z, ell)
+        assert np.all(got == 0.0)
+        assert np.array_equal(np.signbit(got), np.signbit(z))
+        assert np.array_equal(got, tl1_prox_three_roots(spec, z, ell))
 
 
 class TestParsers:
