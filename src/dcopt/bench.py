@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagnostics import check_descent, stationarity_residual
-from .instances import generate_instance, l12_lambda_bound, objective
+from .instances import generate_instance, l12_lambda_bound
 from .linalg import combine_seed, lmax_gram
 from .regularizers import make_spec, parse_reg_family
 from .solvers import SOLVERS, SolverConfig, solve
@@ -194,11 +194,11 @@ def _run_cell_replicate(
     if not est.converged:
         raise InvariantViolation(f"lmax_gram failed to converge on cell {cell} rep {replicate}")
     L = est.value
+    bound = l12_lambda_bound(inst) if plan.reg_family == "l1-l2" else None
 
     records: list[RunRecord] = []
     for lam in plan.lambdas:
         spec = make_spec(plan.reg_family, **{"lambda": lam, **plan.reg_params})
-        bound = l12_lambda_bound(inst) if plan.reg_family == "l1-l2" else None
         admissible = bound > lam if bound is not None else True
         for solver_name in plan.solvers:
             cfg = SolverConfig(algorithm=solver_name, L_override=L)
@@ -222,7 +222,7 @@ def _run_cell_replicate(
                     solver=solver_name,
                     iterations=res.iterations,
                     status=res.status,
-                    fval=objective(inst, spec, res.x_final),
+                    fval=float(res.objective_trace[-1]),
                     residual=stationarity_residual(inst, spec, res.x_final, L),
                     wall_seconds=res.wall_seconds,
                     t_lmax=t_lmax,
@@ -243,12 +243,15 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> ResultTable:
     failure raises InvariantViolation immediately; aborted solves and
     inadmissible weights are flagged on the records and surfaced by the CLI.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     units = [(cell, rep) for cell in plan.grid for rep in range(plan.instances_per_cell)]
     batches: list[list[RunRecord]]
-    if jobs <= 1:
+    if jobs == 1:
         batches = [_run_cell_replicate(plan, cell, rep) for cell, rep in units]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-based pool starts all its workers at once: no more than there are units
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             futures = [pool.submit(_run_cell_replicate, plan, cell, rep) for cell, rep in units]
             batches = [f.result() for f in futures]
 

@@ -1,17 +1,18 @@
 """Command-line driver: instance generation, single solves, benchmark plans.
 
-Exit codes: 0 success, 2 invariant violation (descent audit or weight
-admissibility) or unusable input, 3 solver abort.
+Exit codes: 0 success, 2 invariant violation (bench only: descent audit,
+weight admissibility, unconverged L) or unusable input, 3 solver abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bench import InvariantViolation, parse_plan, render_table, run_benchmark
 from .diagnostics import stationarity_residual
-from .instances import generate_instance, load_instance, objective, save_instance
+from .instances import generate_instance, load_instance, save_instance
 from .linalg import lmax_gram
 from .regularizers import parse_reg
 from .solvers import SOLVERS, SolveResult, SolverConfig, solve
@@ -43,21 +44,23 @@ def _write_trace(path: str, res: SolveResult) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
+    if args.restart < 0:
+        raise ValueError(f"--restart must be >= 0 (0 disables it), got {args.restart}")
+    # every option is checked before the container is read and L is computed
     spec = parse_reg(args.reg)
-    est = lmax_gram(inst.A)
-    if not est.converged:
-        print("warning: lmax_gram did not converge; using best estimate", file=sys.stderr)
     cfg = SolverConfig(
         algorithm=args.solver,
         tol=args.tol,
         max_iter=args.max_iter,
-        restart_period=args.restart if args.restart > 0 else None,
+        restart_period=args.restart or None,
         adaptive_restart=not args.no_adaptive,
-        L_override=est.value,
     )
-    res = solve(inst, spec, cfg)
-    fval = objective(inst, spec, res.x_final)
+    inst = load_instance(args.instance)
+    est = lmax_gram(inst.A)
+    if not est.converged:
+        print("warning: lmax_gram did not converge; using best estimate", file=sys.stderr)
+    res = solve(inst, spec, dataclasses.replace(cfg, L_override=est.value))
+    fval = float(res.objective_trace[-1])
     residual = stationarity_residual(inst, spec, res.x_final, est.value)
     print(f"{res.iterations},{res.status},{fval:.4e},{residual:.4e}")
     if args.trace:

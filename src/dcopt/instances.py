@@ -10,6 +10,7 @@ seed so changing s cannot perturb A for the same seed.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -50,6 +51,11 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _check_noise_scale(noise_scale: float) -> None:
+    if not 0 <= noise_scale < math.inf:
+        raise ValueError("noise_scale must be non-negative and finite")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Immutable problem data; arrays are write-protected after construction."""
@@ -82,18 +88,19 @@ class ProblemInstance:
         norms = _column_norms(A)
         if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("columns of A must have unit norm (within 1e-12)")
-        if sup.size != np.unique(sup).size:
-            raise ValueError("support indices must be distinct")
+        if np.any(sup[1:] <= sup[:-1]):
+            raise ValueError("support indices must be distinct and sorted ascending")
         if sup.size and (sup.min() < 0 or sup.max() >= n):
             raise ValueError("support indices out of range")
+        if not np.isfinite(gt).all():
+            raise ValueError("ground_truth must be finite")
         nz = np.flatnonzero(gt)
         if not np.isin(nz, sup).all():
             raise ValueError("ground_truth has nonzeros off the support")
+        _check_noise_scale(self.noise_scale)
         for arr, name in ((A, "A"), (b, "b"), (gt, "ground_truth"), (sup, "support")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
 
     @property
     def m(self) -> int:
@@ -122,6 +129,7 @@ def generate_instance(
         raise ValueError("m, n, s must be positive")
     if s > n:
         raise ValueError(f"s={s} exceeds n={n}")
+    _check_noise_scale(noise_scale)
 
     src_a = RandomSource(seed, _STREAM_A)
     A = np.empty((m, n))

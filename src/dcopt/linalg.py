@@ -8,13 +8,10 @@ documented Gaussian transform, and all arithmetic is plain float64.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # splitmix64 constants (Steele, Lea, Flood 2014)
 _GAMMA = 0x9E3779B97F4A7C15
@@ -135,8 +132,8 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     overestimate. Stops once the relative change stays below _LMAX_TOL for
     three consecutive iterations (change-based stopping alone can quit early
     when the spectral gap is tight). After _LMAX_MAX_ITER iterations the best
-    estimate is returned with converged=False and a logged warning, never
-    silently.
+    estimate is returned with converged=False; reporting that is the caller's
+    job (solve logs it, the CLI prints it, bench raises).
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -170,10 +167,4 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
         else:
             hits = 0
         lam_prev = lam
-
-    log.warning(
-        "lmax_gram: no convergence in %d iterations (last estimate %.6e)",
-        _LMAX_MAX_ITER,
-        lam,
-    )
     return LmaxResult(lam, False, _LMAX_MAX_ITER)

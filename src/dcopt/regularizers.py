@@ -254,7 +254,9 @@ class TransformedL1(RegularizerSpec):
         above = az > (r / (2.0 * a) if r <= a**2 else math.sqrt(r) - a / 2.0) * (1.0 - 1e-6)
         z, c = az[above], lam * a * (a + 1.0) / ell
         root = np.full(az.shape, np.nan)
-        root[above] = _largest_cubic_root(2.0 * a - z, a**2 - 2.0 * a * z, c - a**2 * z)
+        # the minimizer lies in [|z| - w/ell, |z|]; the polished root can miss it by an ulp
+        root[above] = np.clip(_largest_cubic_root(2.0 * a - z, a**2 - 2.0 * a * z, c - a**2 * z),
+                              z - self.weight / ell, z)
         return (np.where(np.isfinite(root) & (root > 0.0), root, np.nan),)
 
 

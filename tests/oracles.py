@@ -13,6 +13,9 @@ on their own; what it cross-checks is how generate_instance assembles A.
 tl1_prox_three_roots is not independent on purpose: it is the TL1 prox as it
 was before full_prox kept only the largest cubic root above the zero
 threshold, and the tests require the two to agree bit for bit.
+descent_audit_loop is likewise check_descent as it was before it became one
+vectorized pass: the same arithmetic one step at a time, required to give the
+same counts and bits.
 """
 
 from __future__ import annotations
@@ -309,3 +312,22 @@ def tl1_prox_three_roots(spec, z: np.ndarray, ell: float) -> np.ndarray:
     phi = 0.5 * ell * (u - safe) ** 2 + lam * (a + 1.0) * u / (a + u)
     near = phi <= phi.min(axis=0) + 1e-12
     return np.sign(z) * np.where(flat, az, np.where(near, u, np.inf).min(axis=0))
+
+
+def descent_audit_loop(result, L: float) -> tuple[int, float]:
+    """(violations, max_violation) of check_descent, one step at a time."""
+    merit = np.asarray(result.merit_trace, dtype=np.float64)
+    steps = np.asarray(result.step_norm_trace, dtype=np.float64)
+    T = result.iterations
+    betas = np.zeros(T) if result.beta_trace is None else np.asarray(result.beta_trace)
+    slack = 1e-8 * max(1.0, abs(float(merit[0])))
+    violations = 0
+    max_shortfall = 0.0
+    for t in range(T):
+        lhs = float(merit[t] - merit[t + 1])
+        step_in = float(steps[t - 1]) if t >= 1 else 0.0
+        shortfall = 0.5 * L * (1.0 - float(betas[t]) ** 2) * step_in**2 - lhs
+        if shortfall > slack:
+            violations += 1
+        max_shortfall = max(max_shortfall, shortfall)
+    return violations, max(0.0, max_shortfall)

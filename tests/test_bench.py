@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 
+from dcopt import bench as bench_mod
 from dcopt.bench import (
     BenchmarkPlan,
     InvariantViolation,
@@ -17,7 +19,9 @@ from dcopt.bench import (
     replicate_seed,
     run_benchmark,
 )
+from dcopt.instances import l12_lambda_bound, objective
 from dcopt.linalg import LmaxResult
+from dcopt.solvers import solve
 
 TINY_PLAN = BenchmarkPlan(
     grid=((20, 50, 3),),
@@ -182,9 +186,65 @@ class TestRunBenchmark:
         parallel = run_benchmark(TINY_PLAN, jobs=2)
         assert nontiming_fingerprint(parallel) == nontiming_fingerprint(tiny_table)
 
-    def test_unconverged_lmax_is_an_invariant_violation(self, monkeypatch):
-        import dcopt.bench as bench_mod
+    def test_fval_is_the_objective_at_the_final_iterate(self, monkeypatch):
+        # the record takes F from the objective trace; it must be F(x_final)
+        # itself, as a Python float, so the fingerprint prints a plain repr
+        runs = []
 
+        def recording_solve(inst, spec, cfg):
+            res = solve(inst, spec, cfg)
+            runs.append((inst, spec, res))
+            return res
+
+        monkeypatch.setattr(bench_mod, "solve", recording_solve)
+        plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-3), reg_family="log",
+                                   reg_params={"eps": 0.5})
+        table = run_benchmark(plan, jobs=1)
+        assert len(runs) == len(table.records) == 2 * 2 * 3
+        for rec, (inst, spec, res) in zip(table.records, runs):
+            assert type(rec.fval) is float
+            assert rec.fval == objective(inst, spec, res.x_final)
+
+    def test_lambda_bound_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting_bound(inst):
+            calls.append(inst.seed)
+            return l12_lambda_bound(inst)
+
+        monkeypatch.setattr(bench_mod, "l12_lambda_bound", counting_bound)
+        table = run_benchmark(dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4, 1e-4)), jobs=1)
+        assert sorted(calls) == sorted({r.seed for r in table.records})
+
+    def test_pool_has_no_more_workers_than_units(self, monkeypatch, tiny_table):
+        # a stand-in pool that runs in this process, so no worker is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", InlinePool)
+        table = run_benchmark(TINY_PLAN, jobs=64)
+        assert sizes == [2]  # one cell, two replicates
+        assert nontiming_fingerprint(table) == nontiming_fingerprint(tiny_table)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_benchmark(TINY_PLAN, jobs=0)
+
+    def test_unconverged_lmax_is_an_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(bench_mod, "lmax_gram",
                             lambda A: LmaxResult(1.0, False, 5))
         with pytest.raises(InvariantViolation, match="lmax"):

@@ -144,6 +144,33 @@ class TestSolve:
                              "--restart", "0", "--no-adaptive")
         assert rc == 0
 
+    @pytest.mark.parametrize("restart", ["-1", "-5"])
+    def test_negative_restart_is_exit_2(self, instance_path, restart):
+        rc, out, err = run_cli("solve", "--instance", instance_path,
+                               "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e",
+                               "--restart", restart)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --restart must be >= 0")
+
+    @pytest.mark.parametrize("option", [("--max-iter", "0"), ("--tol", "-1"), ("--tol", "nan")])
+    def test_bad_option_fails_before_L_is_computed(self, monkeypatch, instance_path, option):
+        monkeypatch.setattr("dcopt.cli.lmax_gram", lambda A: pytest.fail("lmax_gram ran"))
+        rc, out, err = run_cli("solve", "--instance", instance_path,
+                               "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca", *option)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_unconverged_L_is_reported_once(self, monkeypatch, caplog, instance_path):
+        monkeypatch.setattr("dcopt.linalg._LMAX_MAX_ITER", 3)
+        with caplog.at_level("WARNING"):
+            rc, _, err = run_cli("solve", "--instance", instance_path,
+                                 "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e")
+        assert rc == 0
+        assert err.splitlines() == ["warning: lmax_gram did not converge; using best estimate"]
+        assert caplog.records == []
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_solver_abort_is_exit_3(self, monkeypatch, overflow_instance, solver):
         # load would reject this b, so hand the instance to the command directly
@@ -195,6 +222,15 @@ class TestBench:
         rc, _, _ = run_cli("bench", "--plan", "tiny.plan",
                            "--out-csv", "out.csv", "--jobs", "2")
         assert rc == 0
+
+    def test_jobs_below_one_is_exit_2(self, workdir):
+        (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
+        rc, out, err = run_cli("bench", "--plan", "tiny.plan", "--out-csv", "out.csv",
+                               "--jobs", "0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: jobs must be >= 1")
+        assert not (workdir / "out.csv").exists()
 
     def test_malformed_plan_is_exit_2(self, workdir):
         (workdir / "bad.plan").write_text("grid = 10x20\nseed = 0\n")

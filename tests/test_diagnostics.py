@@ -7,10 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dcopt.diagnostics import check_descent, stationarity_residual
+from dcopt.diagnostics import DescentReport, check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance
-from dcopt.regularizers import L1MinusL2, LogPenalty
+from dcopt.regularizers import MCP, L1MinusL2, LogPenalty, TransformedL1
 from dcopt.solvers import SolverConfig, solve
+from oracles import descent_audit_loop
 
 
 def identity_instance(b):
@@ -37,7 +38,7 @@ class TestCheckDescent:
         report = check_descent(res, L)
         assert report.violations == 0
         assert report.max_violation == 0.0
-        assert report.monotone
+        assert np.all(res.merit_trace[1:] <= res.merit_trace[:-1])
 
     def test_plain_pdca_also_clean(self, small_instance, small_L):
         res = solve(small_instance, L1MinusL2(1e-3),
@@ -54,8 +55,8 @@ class TestCheckDescent:
         broken = dataclasses.replace(res, merit_trace=merit)
         report = check_descent(broken, L)
         assert report.violations >= 1
-        assert report.max_violation > 0.0
-        assert not report.monotone
+        # the bump turns step k-1's merit drop d into d - 1e-3
+        assert report.max_violation >= 1e-3 - (res.merit_trace[k - 1] - res.merit_trace[k])
 
     def test_detects_inflated_step(self, run):
         # negative control: claim a larger step than the merit drop supports
@@ -65,6 +66,34 @@ class TestCheckDescent:
         broken = dataclasses.replace(res, step_norm_trace=steps)
         report = check_descent(broken, L)
         assert report.violations >= 1
+
+    @pytest.mark.parametrize("algorithm", ["pdca_e", "pdca"])
+    @pytest.mark.parametrize("spec", [L1MinusL2(1e-3), LogPenalty(1e-3, 0.5), MCP(1e-3, 5.0),
+                                      TransformedL1(1e-3, 1.0)], ids=lambda s: s.name)
+    def test_matches_step_by_step_loop(self, small_instance, small_L, spec, algorithm):
+        res = solve(small_instance, spec, SolverConfig(algorithm=algorithm, L_override=small_L))
+        merit = res.merit_trace.copy()
+        merit[len(merit) // 2] += 1e-3
+        steps = res.step_norm_trace * 64.0
+        for run, L in ((res, small_L), (res, small_L / 64.0),
+                       (dataclasses.replace(res, merit_trace=merit), small_L),
+                       (dataclasses.replace(res, step_norm_trace=steps), small_L)):
+            report = check_descent(run, L)
+            assert (report.violations, report.max_violation) == descent_audit_loop(run, L)
+            assert type(report.violations) is int and type(report.max_violation) is float
+
+    def test_matches_loop_on_aborted_and_non_finite_traces(self, run, overflow_instance):
+        with np.errstate(over="ignore", invalid="ignore"):
+            aborted = solve(overflow_instance, L1MinusL2(1e-3), SolverConfig(algorithm="pdca"))
+        assert aborted.iterations == 0
+        assert check_descent(aborted, 1.0) == DescentReport(0, 0.0)
+        assert descent_audit_loop(aborted, 1.0) == (0, 0.0)
+        res, L = run
+        merit = res.merit_trace.copy()
+        merit[3], merit[5], merit[7] = np.nan, np.inf, -np.inf
+        broken = dataclasses.replace(res, merit_trace=merit)
+        report = check_descent(broken, L)
+        assert (report.violations, report.max_violation) == descent_audit_loop(broken, L)
 
     def test_requires_merit_trace(self, small_instance):
         res = solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm="gist"))

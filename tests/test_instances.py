@@ -133,6 +133,15 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(**kwargs)
 
+    @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_noise_scale_before_drawing_A(self, monkeypatch, noise_scale):
+        def no_draw(*args):
+            raise AssertionError("A was drawn before noise_scale was checked")
+
+        monkeypatch.setattr(instances, "gauss_vector", no_draw)
+        with pytest.raises(ValueError, match="noise_scale"):
+            generate_instance(4, 6, 2, noise_scale=noise_scale)
+
 
 class TestProblemInstanceValidation:
     def test_arrays_become_readonly(self):
@@ -155,6 +164,12 @@ class TestProblemInstanceValidation:
             ProblemInstance(np.eye(3), np.zeros(3), np.zeros(3),
                             np.array([1, 1]), 0, 0.0)
 
+    def test_rejects_unsorted_support(self):
+        # the ground truth lives on {1, 2}, so only the order is wrong
+        with pytest.raises(ValueError, match="distinct"):
+            ProblemInstance(np.eye(3), np.ones(3), np.array([0.0, 1.0, 1.0]),
+                            np.array([2, 1]), 0, 0.0)
+
     def test_rejects_out_of_range_support(self):
         with pytest.raises(ValueError, match="range"):
             ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([5]), 0, 0.0)
@@ -168,6 +183,17 @@ class TestProblemInstanceValidation:
         b = np.array([np.nan, 0.0])
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(np.eye(2), b, np.zeros(2), np.array([0]), 0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_ground_truth(self, value):
+        gt = np.array([value, 0.0])
+        with pytest.raises(ValueError, match="ground_truth must be finite"):
+            ProblemInstance(np.eye(2), np.zeros(2), gt, np.array([0]), 0, 0.0)
+
+    @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_noise_scale(self, noise_scale):
+        with pytest.raises(ValueError, match="noise_scale"):
+            ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), 0, noise_scale)
 
     def test_rejects_b_whose_squared_norm_overflows(self):
         # every entry is finite, but 0.5 ||b||^2 = F(0) is not
