@@ -210,12 +210,13 @@ class TestSolveResultContract:
         assert np.array_equal(res.x_final, [0.0])
         self.assert_trace_contract(res, algorithm)
 
-    @pytest.mark.parametrize("algorithm", SOLVERS)
-    def test_final_objective_matches_trace(self, algorithm, small_instance, small_L):
+    def test_final_objective_matches_trace(self, small_instance, small_L):
         # bench and the CLI report F from the trace instead of recomputing it
         spec = LogPenalty(1e-3, 0.5)
-        res = solve(small_instance, spec, SolverConfig(algorithm=algorithm, L_override=small_L))
-        assert objective(small_instance, spec, res.x_final) == res.objective_trace[-1]
+        for algorithm in SOLVERS:
+            res = solve(small_instance, spec,
+                        SolverConfig(algorithm=algorithm, L_override=small_L))
+            assert objective(small_instance, spec, res.x_final) == res.objective_trace[-1], algorithm
 
     def test_unconverged_L_warns_once(self, monkeypatch, caplog, small_instance):
         monkeypatch.setattr("dcopt.linalg._LMAX_MAX_ITER", 3)
