@@ -9,7 +9,6 @@ seed so changing s cannot perturb A for the same seed.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import struct
@@ -19,8 +18,6 @@ import numpy as np
 
 from .linalg import RandomSource, gauss_vector
 from .regularizers import RegularizerSpec, reg_value
-
-log = logging.getLogger(__name__)
 
 _MASK = (1 << 64) - 1
 
@@ -32,7 +29,7 @@ _STREAM_NOISE = 3
 # Words of A drawn per gauss_vector call. Even, so every block but the last
 # consumes whole Box-Muller pairs and the blocks concatenate to the one-shot
 # draw of the counter-based stream.
-_BLOCK_WORDS = 1 << 16
+_BLOCK_WORDS = 1 << 14
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -75,17 +72,20 @@ class ProblemInstance:
         if A.ndim != 2:
             raise ValueError("A must be 2-D")
         m, n = A.shape
+        if m < 1 or n < 1:
+            raise ValueError(f"A has shape {A.shape}; it needs at least one row and one column")
         if b.shape != (m,):
             raise ValueError(f"b has shape {b.shape}, expected ({m},)")
         if gt.shape != (n,):
             raise ValueError(f"ground_truth has shape {gt.shape}, expected ({n},)")
-        # min and max propagate NaN and reach +-inf, with no temporary the size
-        # of A; a finite b @ b also bounds A.T @ b, since the columns have unit norm
-        with np.errstate(over="ignore"):
-            finite = np.isfinite([A.min(initial=0.0), A.max(initial=0.0), b @ b]).all()
+        # the one pass over A: a NaN or +-inf entry, or a column whose squares
+        # overflow, leaves its norm non-finite; a finite b @ b also bounds
+        # A.T @ b, since the columns have unit norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = _column_norms(A)
+            finite = np.isfinite(norms).all() and np.isfinite(b @ b)
         if not finite:
             raise ValueError("A and b must be finite")
-        norms = _column_norms(A)
         if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("columns of A must have unit norm (within 1e-12)")
         if np.any(sup[1:] <= sup[:-1]):
@@ -137,16 +137,7 @@ def generate_instance(
     for i in range(0, m * n, _BLOCK_WORDS):
         block = words[i : i + _BLOCK_WORDS]
         block[:] = gauss_vector(src_a, block.size)
-    norms = _column_norms(A)
-    resampled = 0
-    while np.any(norms == 0.0):  # probability zero; keep the contract airtight
-        for j in np.flatnonzero(norms == 0.0):
-            A[:, j] = gauss_vector(src_a, m)
-            resampled += 1
-        norms = _column_norms(A)
-    if resampled:
-        log.warning("generate_instance: resampled %d zero columns", resampled)
-    A /= norms
+    A /= _column_norms(A)  # an all-zero column turns NaN, which ProblemInstance rejects
 
     src_t = RandomSource(seed, _STREAM_SUPPORT)
     idx = np.arange(n)

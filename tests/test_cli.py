@@ -7,6 +7,7 @@ import io
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import venv
@@ -189,6 +190,17 @@ class TestSolve:
         assert rc == 2
         assert out == ""
         assert "error: A and b must be finite" in err
+
+    def test_empty_A_is_exit_2_at_load(self, workdir):
+        # a hand-made container with m = 3, n = 0, s = 0: a header and b only
+        header = struct.pack("<4sIQQQQd", b"DCIN", 1, 3, 0, 0, 0, 0.0)
+        (workdir / "empty.dcin").write_bytes(header + np.zeros(3).tobytes())
+        rc, out, err = run_cli("solve", "--instance", "empty.dcin",
+                               "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e")
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: A has shape (3, 0); it needs at least one row and one column"]
 
     def test_missing_instance_is_exit_2(self, workdir):
         rc, _, err = run_cli("solve", "--instance", "nope.dcin",

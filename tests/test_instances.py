@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,8 @@ class TestGenerateInstance:
             (1, 70001, 4),  # one row longer than a block
             (5, 30001, 3),  # rows longer than a block, odd m * n
             (300, 501, 10),  # several blocks, the last one ragged and odd
+            (1, 16384, 2),  # ends exactly on a block boundary
+            (2, 8193, 2),  # one word past a block boundary
         ],
     )
     def test_matches_one_shot_draw(self, m, n, s):
@@ -141,6 +145,20 @@ class TestGenerateInstance:
         monkeypatch.setattr(instances, "gauss_vector", no_draw)
         with pytest.raises(ValueError, match="noise_scale"):
             generate_instance(4, 6, 2, noise_scale=noise_scale)
+
+    def test_zero_column_is_rejected_not_redrawn(self, monkeypatch):
+        real = instances.gauss_vector
+
+        def zero_last_column(src, length):
+            out = real(src, length)
+            if length == 4 * 6:  # only the draw of A
+                out.reshape(4, 6)[:, -1] = 0.0
+            return out
+
+        monkeypatch.setattr(instances, "gauss_vector", zero_last_column)
+        with np.errstate(invalid="ignore"):  # 0 / 0 in the normalization
+            with pytest.raises(ValueError, match="A and b must be finite"):
+                generate_instance(4, 6, 2, seed=3)
 
 
 class TestProblemInstanceValidation:
@@ -200,6 +218,29 @@ class TestProblemInstanceValidation:
         b = np.full(2, 1e154)
         with pytest.raises(ValueError, match="A and b must be finite"):
             ProblemInstance(np.eye(2), b, np.zeros(2), np.array([0]), 0, 0.0)
+
+    # 1e200 is finite, but its square overflows; a signaling NaN (bits
+    # 0x7ff0000000000001, as a corrupted container may hold) raises the
+    # invalid flag when squared
+    @pytest.mark.parametrize("bits", [np.float64(v).view(np.uint64) for v in
+                                      (math.nan, math.inf, -math.inf, 1e200)]
+                             + [np.uint64(0x7FF0000000000001)],
+                             ids=["nan", "inf", "-inf", "1e200", "snan"])
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_rejects_nonfinite_A_without_warning(self, bits, column):
+        A = np.eye(3)
+        A.view(np.uint64)[1, column] = bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="A and b must be finite"):
+                ProblemInstance(A, np.zeros(3), np.zeros(3), np.array([0]), 0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (0, 3)])
+    def test_rejects_empty_A(self, shape):
+        m, n = shape
+        with pytest.raises(ValueError, match=re.escape(f"A has shape {shape}")):
+            ProblemInstance(np.zeros(shape), np.zeros(m), np.zeros(n),
+                            np.array([], dtype=np.int64), 0, 0.0)
 
     def test_rejects_one_dimensional_A(self):
         with pytest.raises(ValueError, match="2-D"):
