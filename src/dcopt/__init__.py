@@ -13,12 +13,11 @@ from .instances import (
     generate_instance,
     l12_lambda_bound,
     load_instance,
-    objective,
     save_instance,
 )
 from .linalg import RandomSource, lmax_gram
 from .regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, parse_reg
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, objective, solve
 
 __all__ = [
     "L1MinusL2",

@@ -258,10 +258,8 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> ResultTable:
     return ResultTable([rec for batch in batches for rec in batch])
 
 
-_CSV_HEADER = (
-    "n,m,s,t_lmax,iter_gist,iter_pdcae,iter_pdca,"
-    "cpu_gist,cpu_pdcae,cpu_pdca,fval_gist,fval_pdcae,fval_pdca"
-)
+_CSV_HEADER = ",".join(["n", "m", "s", "t_lmax"] + [
+    f"{col}_{name.replace('_', '')}" for col in ("iter", "cpu", "fval") for name in SOLVERS])
 
 
 def _row_cells(row: CellRow) -> list[str]:

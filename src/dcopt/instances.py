@@ -1,4 +1,4 @@
-"""Least-squares problem model f(x) = 0.5 ||Ax - b||^2 and instance generation.
+"""Least-squares problem instances: generation, validation and containers.
 
 Instances follow a fixed recipe: A has i.i.d. standard Gaussian entries with
 columns normalized to unit norm, an s-subset support is drawn uniformly, the
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RandomSource, gauss_vector
-from .regularizers import RegularizerSpec, reg_value
 
 _MASK = (1 << 64) - 1
 
@@ -68,7 +67,9 @@ class ProblemInstance:
         A = np.ascontiguousarray(self.A, dtype=np.float64)
         b = np.asarray(self.b, dtype=np.float64)
         gt = np.asarray(self.ground_truth, dtype=np.float64)
-        sup = np.asarray(self.support, dtype=np.int64)
+        sup_in = np.asarray(self.support)
+        with np.errstate(invalid="ignore"):  # NaN and +-inf are caught below
+            sup = sup_in.astype(np.int64)
         if A.ndim != 2:
             raise ValueError("A must be 2-D")
         m, n = A.shape
@@ -88,6 +89,8 @@ class ProblemInstance:
             raise ValueError("A and b must be finite")
         if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("columns of A must have unit norm (within 1e-12)")
+        if np.any(sup != sup_in):
+            raise ValueError("support indices must be integers")
         if np.any(sup[1:] <= sup[:-1]):
             raise ValueError("support indices must be distinct and sorted ascending")
         if sup.size and (sup.min() < 0 or sup.max() >= n):
@@ -153,13 +156,6 @@ def generate_instance(
     b = A @ ground_truth + noise_scale * noise
 
     return ProblemInstance(A, b, ground_truth, support, seed, noise_scale)
-
-
-def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> float:
-    """F(x) = f(x) + P1(x) - P2(x)."""
-    r = inst.A @ x - inst.b
-    p1, p2 = reg_value(spec, x)
-    return 0.5 * float(r @ r) + p1 - p2
 
 
 def l12_lambda_bound(inst: ProblemInstance) -> float:

@@ -133,16 +133,16 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     three consecutive iterations (change-based stopping alone can quit early
     when the spectral gap is tight). After _LMAX_MAX_ITER iterations the best
     estimate is returned with converged=False; reporting that is the caller's
-    job (solve logs it, the CLI prints it, bench raises).
+    job (solve logs it, the CLI prints it, bench raises). If A v = 0, the value
+    is 0, reported converged only when A = 0.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
     n = A.shape[1]
-    src = RandomSource(_LMAX_START_SEED, stream_id=0)
-    # counter-based stream: every start vector is a prefix of one fixed sequence
-    # whose first entry is nonzero, so its norm is never 0
-    v = gauss_vector(src, n)
+    # a prefix of one fixed sequence whose first entry is nonzero, so its
+    # norm is never 0
+    v = gauss_vector(RandomSource(_LMAX_START_SEED, stream_id=0), n)
     v /= np.linalg.norm(v)
 
     lam_prev = -1.0
@@ -152,12 +152,9 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
         w = A @ v
         lam = float(w @ w)
         if lam == 0.0:
-            # v is orthogonal to every row of A (the start is fixed); redraw
-            v = gauss_vector(src, n)
-            v /= np.linalg.norm(v)
-            hits = 0
-            lam_prev = -1.0
-            continue
+            # exact when A = 0; otherwise A annihilates (or underflows on) v,
+            # and 0 is no estimate
+            return LmaxResult(0.0, not A.any(), k)
         u = A.T @ w
         v = u / np.linalg.norm(u)
         if abs(lam - lam_prev) <= _LMAX_TOL * lam:

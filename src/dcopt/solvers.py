@@ -118,6 +118,11 @@ def _objective(spec: RegularizerSpec, Ax: np.ndarray, b: np.ndarray, x: np.ndarr
     return 0.5 * float(r @ r) + p1v - p2v
 
 
+def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> float:
+    """F(x) = 0.5 ||Ax - b||^2 + P1(x) - P2(x), the value the solve loop traces."""
+    return _objective(spec, inst.A @ x, inst.b, x)
+
+
 def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> SolveResult:
     """Run cfg.algorithm from the origin.
 

@@ -19,9 +19,9 @@ from dcopt.bench import (
     replicate_seed,
     run_benchmark,
 )
-from dcopt.instances import l12_lambda_bound, objective
+from dcopt.instances import l12_lambda_bound
 from dcopt.linalg import LmaxResult
-from dcopt.solvers import solve
+from dcopt.solvers import objective, solve
 
 TINY_PLAN = BenchmarkPlan(
     grid=((20, 50, 3),),

@@ -23,10 +23,10 @@ from dcopt.instances import (
     generate_instance,
     l12_lambda_bound,
     load_instance,
-    objective,
     save_instance,
 )
 from dcopt.regularizers import L1MinusL2, LogPenalty
+from dcopt.solvers import objective
 from oracles import fd_gradient, one_shot_instance, smooth_eval
 
 
@@ -187,6 +187,14 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="distinct"):
             ProblemInstance(np.eye(3), np.ones(3), np.array([0.0, 1.0, 1.0]),
                             np.array([2, 1]), 0, 0.0)
+
+    @pytest.mark.parametrize("index", [0.7, math.nan, math.inf])
+    def test_rejects_non_integral_support(self, index):
+        # an int64 cast would truncate 0.7 to 0 and turn NaN/inf into garbage
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be integers"):
+                ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([index]), 0, 0.0)
 
     def test_rejects_out_of_range_support(self):
         with pytest.raises(ValueError, match="range"):

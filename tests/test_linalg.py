@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -189,11 +191,21 @@ class TestLmaxGram:
         assert est.value == float(w @ w)
         assert caplog.records == []  # the caller reports it, once
 
-    def test_zero_matrix(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_LMAX_MAX_ITER", 20)
-        est = lmax_gram(np.zeros((4, 3)))
-        assert est.value == 0.0
-        assert not est.converged
+    def test_zero_matrix(self):
+        # lambda_max is exactly 0, known after the first product
+        assert lmax_gram(np.zeros((720, 2560))) == (0.0, True, 1)
+
+    def test_matrix_annihilating_the_start_reports_unconverged(self):
+        n = 2560
+        v0 = gauss_vector(RandomSource(linalg._LMAX_START_SEED, stream_id=0), n)
+        v0 /= np.linalg.norm(v0)
+        A = np.zeros((3, n))
+        A[:, 0], A[:, 1] = v0[1], -v0[0]
+        assert not (A @ v0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lmax_gram(A)
+        assert est == (0.0, False, 1)
 
     def test_bad_args(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -32,3 +33,13 @@ def test_readme_quick_start_names_are_exported():
     names = {name.strip() for name in block.split(",") if name.strip()}
     assert "solve" in names
     assert sorted(names - set(dcopt.__all__)) == []
+
+
+def test_instances_imports_only_linalg_from_the_package():
+    # the instance data layer knows nothing of regularizers or solvers
+    tree = ast.parse((ROOT / "src" / "dcopt" / "instances.py").read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    package = [line.split(" import ")[0] for line in imports
+               if line.startswith("from .") or "dcopt" in line]
+    assert package == ["from .linalg"]

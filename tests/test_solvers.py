@@ -9,9 +9,9 @@ import pytest
 
 from dcopt import solvers as solvers_module
 from dcopt.diagnostics import check_descent, stationarity_residual
-from dcopt.instances import ProblemInstance, generate_instance, objective
+from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
-from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, solve
+from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, objective, solve
 from oracles import grid_min_1d
 
 ALL_SPECS = [
