@@ -4,7 +4,7 @@ A plan names a grid of (m, n, s) cells, a regularizer family with fixed
 parameters, a list of weights, solvers, and a replicate count. Instances are
 seeded by a stable hash of (master_seed, m, n, s, replicate), so they are
 shared across weights within a cell and adding a weight never reshuffles
-them. Every run with a merit trace (pdca_e, pdca) is audited against the
+them. Every run with a beta trace (pdca_e, pdca) is audited against the
 descent inequality, and every l1-l2 run is checked for weight admissibility.
 """
 
@@ -203,7 +203,7 @@ def _run_cell_replicate(
         for solver_name in plan.solvers:
             cfg = SolverConfig(algorithm=solver_name, L_override=L)
             res = solve(inst, spec, cfg)
-            if res.merit_trace is not None:
+            if res.beta_trace is not None:
                 audit = check_descent(res, L)
                 if audit.violations > 0:
                     raise InvariantViolation(

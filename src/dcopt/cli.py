@@ -26,21 +26,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_trace(path: str, res: SolveResult) -> None:
+def _write_trace(path: str, res: SolveResult, L: float) -> None:
     # row t carries x^t's objective and merit, the step into x^t, and the
-    # extrapolation weight used at t (which produced x^{t+1})
-    obj = res.objective_trace
-    merit = res.merit_trace
-    steps = res.step_norm_trace
-    betas = res.beta_trace
+    # extrapolation weight used at t (which produced x^{t+1}); gist has no E or beta
+    steps = [0.0, *res.step_norm_trace.tolist()]
+    betas = None if res.beta_trace is None else res.beta_trace.tolist()
     with open(path, "w") as fh:
         fh.write("t,F,E,step_norm,beta\n")
-        for t in range(res.iterations + 1):
-            f_cell = repr(float(obj[t]))
-            e_cell = repr(float(merit[t])) if merit is not None else ""
-            s_cell = repr(float(steps[t - 1])) if t >= 1 else ""
-            b_cell = repr(float(betas[t])) if betas is not None and t < res.iterations else ""
-            fh.write(f"{t},{f_cell},{e_cell},{s_cell},{b_cell}\n")
+        for t, F in enumerate(res.objective_trace.tolist()):
+            e_cell = repr(F + 0.5 * L * steps[t] * steps[t]) if betas is not None else ""
+            s_cell = repr(steps[t]) if t >= 1 else ""
+            b_cell = repr(betas[t]) if betas is not None and t < res.iterations else ""
+            fh.write(f"{t},{F!r},{e_cell},{s_cell},{b_cell}\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -64,7 +61,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     residual = stationarity_residual(inst, spec, res.x_final, est.value)
     print(f"{res.iterations},{res.status},{fval:.4e},{residual:.4e}")
     if args.trace:
-        _write_trace(args.trace, res)
+        _write_trace(args.trace, res, est.value)
     if res.status == "aborted":
         print(f"solver aborted: {res.message}", file=sys.stderr)
         return 3

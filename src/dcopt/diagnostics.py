@@ -2,14 +2,15 @@
 
 The merit function E(x, y) = F(x) + (L/2)||x - y||^2 decreases along pdca
 iterates by at least (L/2)(1 - beta_t^2) ||x^t - x^{t-1}||^2 per step; the
-audit replays a solve's traces against that inequality. The residual measures
-distance from being a fixed point of the prox-gradient map with the same
-subgradient selection the solvers use, so residual 0 is exactly stationarity
-under that selection.
+audit rebuilds E from a solve's objective and step traces and replays them
+against that inequality. The residual measures distance from being a fixed
+point of the prox-gradient map with the same subgradient selection the
+solvers use, so residual 0 is exactly stationarity under that selection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,34 +26,37 @@ class DescentReport:
     max_violation: float
 
 
+def _check_L(L: float) -> None:
+    if not 0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
+
+
 def check_descent(result: SolveResult, L: float) -> DescentReport:
     """Replay a pdca_e/pdca run's traces against the per-step descent bound.
 
-    Checks E_t - E_{t+1} >= (L/2)(1 - beta_t^2) * ||x^t - x^{t-1}||^2 for
-    every step, with slack 1e-8 * max(1, |E_0|). beta_trace may be None (a
-    pdca run), in which case betas are identically zero. The incoming step at
-    t = 0 is zero because x^0 = x^{-1}. Every beta_t < 1, so a run without
+    The merit E_t = F(x^t) + (L/2)||x^t - x^{t-1}||^2 is computed from the
+    objective and step traces with the L given here (the incoming step at
+    t = 0 is zero because x^0 = x^{-1}). Checks
+    E_t - E_{t+1} >= (L/2)(1 - beta_t^2) * ||x^t - x^{t-1}||^2 for every step,
+    with slack 1e-8 * max(1, |E_0|). Every beta_t < 1, so a run without
     violations also has a merit that never rises by more than the slack.
     """
-    if result.merit_trace is None:
-        raise ValueError("check_descent needs a merit trace (a pdca_e or pdca run)")
-    merit = np.asarray(result.merit_trace, dtype=np.float64)
-    steps = np.asarray(result.step_norm_trace, dtype=np.float64)
-    T = result.iterations
-    if merit.size != T + 1 or steps.size != T:
-        raise ValueError(
-            f"trace lengths ({merit.size}, {steps.size}) inconsistent with iterations={T}"
-        )
+    _check_L(L)
     if result.beta_trace is None:
-        betas = np.zeros(T)
-    else:
-        betas = np.asarray(result.beta_trace, dtype=np.float64)
-        if betas.size != T:
-            raise ValueError(f"beta trace length {betas.size} inconsistent with iterations={T}")
+        raise ValueError("check_descent needs a pdca_e or pdca run")
+    obj = np.asarray(result.objective_trace, dtype=np.float64)
+    steps = np.asarray(result.step_norm_trace, dtype=np.float64)
+    betas = np.asarray(result.beta_trace, dtype=np.float64)
+    T = result.iterations
+    if obj.size != T + 1 or steps.size != T or betas.size != T:
+        raise ValueError(f"trace lengths ({obj.size}, {steps.size}, {betas.size}) "
+                         f"inconsistent with iterations={T}")
 
+    step_in = np.concatenate(([0.0], steps))
+    merit = obj + 0.5 * L * step_in * step_in
     slack = 1e-8 * max(1.0, abs(float(merit[0])))
-    step_in = np.concatenate(([0.0], steps))[:T]
-    shortfall = 0.5 * L * (1.0 - betas * betas) * (step_in * step_in) - (merit[:-1] - merit[1:])
+    shortfall = (0.5 * L * (1.0 - betas * betas) * (step_in[:T] * step_in[:T])
+                 - (merit[:-1] - merit[1:]))
     # a NaN shortfall (from a non-finite merit) is neither a violation nor a maximum
     return DescentReport(int(np.count_nonzero(shortfall > slack)),
                          float(shortfall[shortfall > 0.0].max(initial=0.0)))
@@ -70,8 +74,7 @@ def stationarity_residual(
     the value is 0 exactly when x is a fixed point of the iterate map, which
     implies stationarity of the DC objective.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    _check_L(L)
     x = np.asarray(x, dtype=np.float64)
     grad = inst.A.T @ (inst.A @ x - inst.b)
     xi = p2_subgrad(spec, x)

@@ -18,8 +18,6 @@ import numpy as np
 
 from .linalg import RandomSource, gauss_vector
 
-_MASK = (1 << 64) - 1
-
 _STREAM_A = 0
 _STREAM_SUPPORT = 1
 _STREAM_SIGNAL = 2
@@ -47,7 +45,9 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _check_noise_scale(noise_scale: float) -> None:
+def _check_seed_and_noise(seed: int, noise_scale: float) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= noise_scale < math.inf:
         raise ValueError("noise_scale must be non-negative and finite")
 
@@ -100,7 +100,7 @@ class ProblemInstance:
         nz = np.flatnonzero(gt)
         if not np.isin(nz, sup).all():
             raise ValueError("ground_truth has nonzeros off the support")
-        _check_noise_scale(self.noise_scale)
+        _check_seed_and_noise(self.seed, self.noise_scale)
         for arr, name in ((A, "A"), (b, "b"), (gt, "ground_truth"), (sup, "support")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -132,7 +132,7 @@ def generate_instance(
         raise ValueError("m, n, s must be positive")
     if s > n:
         raise ValueError(f"s={s} exceeds n={n}")
-    _check_noise_scale(noise_scale)
+    _check_seed_and_noise(seed, noise_scale)
 
     src_a = RandomSource(seed, _STREAM_A)
     A = np.empty((m, n))
@@ -179,7 +179,7 @@ def save_instance(inst: ProblemInstance, path: str) -> None:
     """
     m, n, s = inst.m, inst.n, inst.s
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, m, n, s, inst.seed & _MASK, inst.noise_scale))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, m, n, s, inst.seed, inst.noise_scale))
         for arr, dtype in ((inst.A, "<f8"), (inst.b, "<f8"), (inst.ground_truth, "<f8"),
                            (inst.support, "<u8")):
             fh.write(np.ascontiguousarray(arr, dtype=dtype))

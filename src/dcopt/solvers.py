@@ -5,15 +5,16 @@ A x^{t-1}, and stops when ||x^t - x^{t-1}|| / max(1, ||x^t||) < tol; only
 the candidate step depends on the algorithm. The pdca family performs one
 matvec and one transposed matvec per iteration: the extrapolated product
 A y^t is the affine combination of the cached A x^t and A x^{t-1}, and the
-fresh product A x^{t+1} feeds both the next iteration and the objective and
-merit traces, so tracing adds no matvecs. gist performs one transposed
-matvec per iteration and one matvec per backtracking trial.
+fresh product A x^{t+1} feeds both the next iteration and the objective
+trace, so tracing adds no matvecs. gist performs one transposed matvec per
+iteration and one matvec per backtracking trial.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -51,10 +52,11 @@ class SolverConfig:
             raise ValueError(f"algorithm must be one of {SOLVERS}")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1 when present")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
+        period = self.restart_period
+        if period is not None and (not isinstance(period, numbers.Integral) or period < 1):
+            raise ValueError("restart_period must be an integer >= 1 when present")
         if self.L_override is not None and not 0 < self.L_override < math.inf:
             raise ValueError("L_override must be positive and finite")
 
@@ -95,9 +97,8 @@ class SolveResult:
     iterations: int
     status: str  # converged | iteration_cap | aborted
     objective_trace: np.ndarray
-    merit_trace: np.ndarray | None
     step_norm_trace: np.ndarray
-    beta_trace: np.ndarray | None  # pdca_e only
+    beta_trace: np.ndarray | None  # pdca_e and pdca (all 0); None for gist
     wall_seconds: float
     message: str = ""
 
@@ -152,7 +153,6 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
 
     F0 = 0.5 * float(b @ b)  # F(0): every penalty vanishes at the origin
     obj = [F0]
-    merit = [F0]
     steps: list[float] = []
     betas: list[float] = []
 
@@ -210,7 +210,6 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
         obj.append(F)
         steps.append(step)
         if not gist:
-            merit.append(F + 0.5 * L * step * step)
             betas.append(beta)
 
         x_prev, x = x, x_new
@@ -227,9 +226,8 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
         iterations=iterations,
         status=status,
         objective_trace=np.array(obj),
-        merit_trace=None if gist else np.array(merit),
         step_norm_trace=np.array(steps),
-        beta_trace=np.array(betas) if cfg.algorithm == "pdca_e" else None,
+        beta_trace=None if gist else np.array(betas),
         wall_seconds=wall,
         message=message,
     )

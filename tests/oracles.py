@@ -15,7 +15,8 @@ was before full_prox kept only the largest cubic root above the zero
 threshold, and the tests require the two to agree bit for bit.
 descent_audit_loop is likewise check_descent as it was before it became one
 vectorized pass: the same arithmetic one step at a time, required to give the
-same counts and bits.
+same counts and bits. Its merit_loop builds E from F and the steps one step
+at a time, in the order of operations the solver used when it stored E.
 """
 
 from __future__ import annotations
@@ -314,17 +315,27 @@ def tl1_prox_three_roots(spec, z: np.ndarray, ell: float) -> np.ndarray:
     return np.sign(z) * np.where(flat, az, np.where(near, u, np.inf).min(axis=0))
 
 
+def merit_loop(result, L: float) -> list[float]:
+    """E_t = F(x^t) + (L/2)||x^t - x^{t-1}||^2, one step at a time as the solver once traced it."""
+    obj = result.objective_trace
+    steps = result.step_norm_trace
+    merit = [float(obj[0])]
+    for t in range(result.iterations):
+        step = float(steps[t])
+        merit.append(float(obj[t + 1]) + 0.5 * L * step * step)
+    return merit
+
+
 def descent_audit_loop(result, L: float) -> tuple[int, float]:
     """(violations, max_violation) of check_descent, one step at a time."""
-    merit = np.asarray(result.merit_trace, dtype=np.float64)
-    steps = np.asarray(result.step_norm_trace, dtype=np.float64)
-    T = result.iterations
-    betas = np.zeros(T) if result.beta_trace is None else np.asarray(result.beta_trace)
-    slack = 1e-8 * max(1.0, abs(float(merit[0])))
+    merit = merit_loop(result, L)
+    steps = result.step_norm_trace
+    betas = result.beta_trace
+    slack = 1e-8 * max(1.0, abs(merit[0]))
     violations = 0
     max_shortfall = 0.0
-    for t in range(T):
-        lhs = float(merit[t] - merit[t + 1])
+    for t in range(result.iterations):
+        lhs = merit[t] - merit[t + 1]
         step_in = float(steps[t - 1]) if t >= 1 else 0.0
         shortfall = 0.5 * L * (1.0 - float(betas[t]) ** 2) * step_in**2 - lhs
         if shortfall > slack:

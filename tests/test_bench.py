@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from dcopt import bench as bench_mod
@@ -328,3 +331,41 @@ class TestFingerprint:
         rebuilt = ResultTable(list(tiny_table.records))
         assert nontiming_fingerprint(rebuilt) == nontiming_fingerprint(tiny_table)
         assert render_table(rebuilt, "csv") == render_table(tiny_table, "csv")
+
+
+# The last bits of numpy's log, power, cbrt and arccos depend on the numpy build
+# and on the SIMD kernels it dispatches to, so the pins hold for one of each.
+_PINNED_NUMPY = "2.4.6"
+_PINNED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+
+
+def _fingerprint_pin_skip_reason() -> str | None:
+    if np.__version__ != _PINNED_NUMPY:
+        return f"fingerprints are pinned for numpy {_PINNED_NUMPY}, not {np.__version__}"
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    if found != _PINNED_SIMD:
+        return f"fingerprints are pinned for SIMD features {_PINNED_SIMD}, not {found}"
+    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+        return "NPY_DISABLE_CPU_FEATURES changes numpy's SIMD dispatch"
+    return None
+
+
+@pytest.mark.parametrize(
+    ("family", "params", "digest"),
+    [
+        ("l1-l2", {}, "567821ff3e986285"),
+        ("log", {"eps": 0.5}, "485bbfebc660f650"),
+        ("mcp", {"theta": 2.5}, "ebbe24eee0074699"),
+        ("scad", {"theta": 3.7}, "099d1efca34b5fd3"),
+        ("tl1", {"a": 1.0}, "7029532eaf51cf61"),
+    ],
+    ids=["l1-l2", "log", "mcp", "scad", "tl1"],
+)
+def test_per_family_fingerprint_is_pinned(family, params, digest):
+    reason = _fingerprint_pin_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg_family=family,
+                         reg_params=params, instances_per_cell=2, master_seed=3)
+    text = nontiming_fingerprint(run_benchmark(plan, jobs=1))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -18,7 +18,10 @@ import pytest
 
 from dcopt.cli import main
 from dcopt.instances import load_instance, save_instance
-from dcopt.solvers import SOLVERS
+from dcopt.linalg import lmax_gram
+from dcopt.regularizers import parse_reg
+from dcopt.solvers import SOLVERS, SolverConfig, solve
+from oracles import merit_loop
 
 TINY_PLAN_TEXT = """\
 grid = 20x50x3
@@ -92,6 +95,13 @@ class TestGen:
         assert inst.noise_scale == 0.0
         assert np.array_equal(inst.b, inst.A @ inst.ground_truth)
 
+    def test_negative_seed_is_exit_2(self, workdir):
+        rc, out, err = run_cli("gen", "--m", "8", "--n", "20", "--s", "2", "--seed", "-1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: seed must be in [0, 2**64)")
+        assert list(workdir.iterdir()) == []
+
     def test_console_script_installed(self, workdir, dcopt_script):
         proc = subprocess.run(
             [dcopt_script, "gen", "--m", "8", "--n", "20", "--s", "2", "--seed", "1"],
@@ -138,6 +148,26 @@ class TestSolve:
         assert first[0] == "0" and first[3] == ""  # no step into x^0
         last = lines[-1].split(",")
         assert last[4] == ""  # no extrapolation weight on the final row
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_trace_columns_match_solve_and_merit_oracle(self, instance_path, workdir, solver):
+        rc, _, _ = run_cli("solve", "--instance", instance_path,
+                           "--reg", "l1-l2:lambda=1e-3", "--solver", solver, "--trace", "tr.csv")
+        assert rc == 0
+        inst = load_instance(instance_path)
+        L = lmax_gram(inst.A).value
+        res = solve(inst, parse_reg("l1-l2:lambda=1e-3"),
+                    SolverConfig(algorithm=solver, L_override=L))
+        rows = [line.split(",") for line in (workdir / "tr.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [repr(float(f)) for f in res.objective_trace]
+        if solver == "gist":
+            assert all(r[2] == "" and r[4] == "" for r in rows)
+        else:
+            assert [r[2] for r in rows] == [repr(e) for e in merit_loop(res, L)]
+            betas = [r[4] for r in rows[:-1]]
+            assert betas == [repr(float(b)) for b in res.beta_trace]
+            if solver == "pdca":
+                assert set(betas) == {"0.0"}
 
     def test_restart_and_adaptive_flags(self, instance_path):
         rc, out, _ = run_cli("solve", "--instance", instance_path,

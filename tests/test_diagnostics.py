@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dcopt.diagnostics import DescentReport, check_descent, stationarity_residua
 from dcopt.instances import ProblemInstance
 from dcopt.regularizers import MCP, L1MinusL2, LogPenalty, TransformedL1
 from dcopt.solvers import SolverConfig, solve
-from oracles import descent_audit_loop
+from oracles import descent_audit_loop, merit_loop
 
 
 def identity_instance(b):
@@ -38,7 +39,8 @@ class TestCheckDescent:
         report = check_descent(res, L)
         assert report.violations == 0
         assert report.max_violation == 0.0
-        assert np.all(res.merit_trace[1:] <= res.merit_trace[:-1])
+        merit = np.array(merit_loop(res, L))
+        assert np.all(merit[1:] <= merit[:-1])
 
     def test_plain_pdca_also_clean(self, small_instance, small_L):
         res = solve(small_instance, L1MinusL2(1e-3),
@@ -47,16 +49,17 @@ class TestCheckDescent:
         assert report.violations == 0
 
     def test_detects_merit_bump(self, run):
-        # negative control: push one merit value up past the slack
+        # negative control: push one objective value, and so its merit, up past the slack
         res, L = run
-        merit = res.merit_trace.copy()
-        k = len(merit) // 2
-        merit[k] += 1e-3
-        broken = dataclasses.replace(res, merit_trace=merit)
+        obj = res.objective_trace.copy()
+        k = len(obj) // 2
+        obj[k] += 1e-3
+        broken = dataclasses.replace(res, objective_trace=obj)
         report = check_descent(broken, L)
         assert report.violations >= 1
         # the bump turns step k-1's merit drop d into d - 1e-3
-        assert report.max_violation >= 1e-3 - (res.merit_trace[k - 1] - res.merit_trace[k])
+        merit = merit_loop(res, L)
+        assert report.max_violation >= 1e-3 - (merit[k - 1] - merit[k])
 
     def test_detects_inflated_step(self, run):
         # negative control: claim a larger step than the merit drop supports
@@ -72,11 +75,11 @@ class TestCheckDescent:
                                       TransformedL1(1e-3, 1.0)], ids=lambda s: s.name)
     def test_matches_step_by_step_loop(self, small_instance, small_L, spec, algorithm):
         res = solve(small_instance, spec, SolverConfig(algorithm=algorithm, L_override=small_L))
-        merit = res.merit_trace.copy()
-        merit[len(merit) // 2] += 1e-3
+        obj = res.objective_trace.copy()
+        obj[len(obj) // 2] += 1e-3
         steps = res.step_norm_trace * 64.0
         for run, L in ((res, small_L), (res, small_L / 64.0),
-                       (dataclasses.replace(res, merit_trace=merit), small_L),
+                       (dataclasses.replace(res, objective_trace=obj), small_L),
                        (dataclasses.replace(res, step_norm_trace=steps), small_L)):
             report = check_descent(run, L)
             assert (report.violations, report.max_violation) == descent_audit_loop(run, L)
@@ -89,25 +92,39 @@ class TestCheckDescent:
         assert check_descent(aborted, 1.0) == DescentReport(0, 0.0)
         assert descent_audit_loop(aborted, 1.0) == (0, 0.0)
         res, L = run
-        merit = res.merit_trace.copy()
-        merit[3], merit[5], merit[7] = np.nan, np.inf, -np.inf
-        broken = dataclasses.replace(res, merit_trace=merit)
+        obj = res.objective_trace.copy()
+        obj[3], obj[5], obj[7] = np.nan, np.inf, -np.inf
+        broken = dataclasses.replace(res, objective_trace=obj)
         report = check_descent(broken, L)
         assert (report.violations, report.max_violation) == descent_audit_loop(broken, L)
 
     def test_requires_merit_trace(self, small_instance):
         res = solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm="gist"))
-        with pytest.raises(ValueError):
+        assert res.beta_trace is None
+        with pytest.raises(ValueError, match="needs a pdca_e or pdca run"):
             check_descent(res, 1.0)
 
     def test_rejects_inconsistent_lengths(self, run):
         res, L = run
-        broken = dataclasses.replace(res, step_norm_trace=res.step_norm_trace[:-1])
-        with pytest.raises(ValueError):
-            check_descent(broken, L)
+        for name in ("objective_trace", "step_norm_trace", "beta_trace"):
+            broken = dataclasses.replace(res, **{name: getattr(res, name)[:-1]})
+            with pytest.raises(ValueError, match="inconsistent with iterations"):
+                check_descent(broken, L)
+
+    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_L(self, run, L):
+        res, _ = run
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            check_descent(res, L)
 
 
 class TestStationarityResidual:
+    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_L(self, L):
+        inst = identity_instance([1.0, 0.0])
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            stationarity_residual(inst, L1MinusL2(0.1), np.zeros(2), L)
+
     def test_zero_at_exact_minimizer(self):
         # no penalty, identity design: x = b is stationary
         inst = identity_instance([0.7, -0.3])

@@ -146,6 +146,12 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="noise_scale"):
             generate_instance(4, 6, 2, noise_scale=noise_scale)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2**64"])
+    def test_rejects_seed_outside_u64_before_drawing_A(self, monkeypatch, seed):
+        monkeypatch.setattr(instances, "gauss_vector", lambda *args: pytest.fail("A was drawn"))
+        with pytest.raises(ValueError, match="seed must be in"):
+            generate_instance(4, 6, 2, seed=seed)
+
     def test_zero_column_is_rejected_not_redrawn(self, monkeypatch):
         real = instances.gauss_vector
 
@@ -220,6 +226,12 @@ class TestProblemInstanceValidation:
     def test_rejects_bad_noise_scale(self, noise_scale):
         with pytest.raises(ValueError, match="noise_scale"):
             ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), 0, noise_scale)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2**64"])
+    def test_rejects_seed_outside_u64(self, seed):
+        # the container stores the seed as u64; -1 used to come back as 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), seed, 0.0)
 
     def test_rejects_b_whose_squared_norm_overflows(self):
         # every entry is finite, but 0.5 ||b||^2 = F(0) is not
@@ -326,6 +338,11 @@ class TestContainer:
         assert np.array_equal(back.support, inst.support)
         assert back.seed == inst.seed
         assert back.noise_scale == inst.noise_scale
+
+    def test_largest_seed_roundtrips(self, tmp_path):
+        inst = generate_instance(5, 7, 2, seed=(1 << 64) - 1)
+        save_instance(inst, str(tmp_path / "inst.dcin"))
+        assert load_instance(str(tmp_path / "inst.dcin")).seed == (1 << 64) - 1
 
     def test_rejects_bad_magic(self, tmp_path):
         inst = generate_instance(5, 9, 2, seed=1)

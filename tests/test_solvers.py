@@ -12,7 +12,7 @@ from dcopt.diagnostics import check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
 from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, objective, solve
-from oracles import grid_min_1d
+from oracles import grid_min_1d, merit_loop
 
 ALL_SPECS = [
     L1MinusL2(1e-3),
@@ -59,6 +59,17 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["max_iter", "restart_period"])
+    @pytest.mark.parametrize("value", [2.5, 200.0])
+    def test_rejects_non_integer_counts(self, field, value):
+        # restart_period=2.5 never equals the since-restart counter, so it would never fire
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SolverConfig(algorithm="pdca_e", **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = SolverConfig(algorithm="pdca_e", max_iter=np.int64(7), restart_period=np.int32(3))
+        assert (cfg.max_iter, cfg.restart_period) == (7, 3)
 
     def test_frozen(self):
         cfg = SolverConfig(algorithm="pdca")
@@ -163,7 +174,8 @@ class TestPdcaOnHandInstances:
                     SolverConfig(algorithm="pdca_e", L_override=small_L))
         report = check_descent(res, small_L)
         assert report.violations == 0
-        assert np.all(res.merit_trace[1:] <= res.merit_trace[:-1])
+        merit = np.array(merit_loop(res, small_L))
+        assert np.all(merit[1:] <= merit[:-1])
 
 
 class TestSolveResultContract:
@@ -172,13 +184,11 @@ class TestSolveResultContract:
         t = res.iterations
         assert len(res.objective_trace) == t + 1
         assert len(res.step_norm_trace) == t
-        assert (res.merit_trace is None) == (algorithm == "gist")
-        if res.merit_trace is not None:
-            assert len(res.merit_trace) == t + 1
-            assert res.merit_trace[0] == res.objective_trace[0]
-        assert (res.beta_trace is None) == (algorithm != "pdca_e")
+        assert (res.beta_trace is None) == (algorithm == "gist")
         if res.beta_trace is not None:
             assert len(res.beta_trace) == t
+        if algorithm == "pdca":
+            assert not res.beta_trace.any()
 
     @pytest.mark.parametrize("algorithm", SOLVERS)
     def test_trace_contract_converged(self, algorithm, small_instance, small_L):
