@@ -10,6 +10,7 @@ seed so changing s cannot perturb A for the same seed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
 
 
 def _check_seed_and_noise(seed: int, noise_scale: float) -> None:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not 0 <= noise_scale < math.inf:
         raise ValueError("noise_scale must be non-negative and finite")
 

@@ -99,7 +99,7 @@ class TestGen:
         rc, out, err = run_cli("gen", "--m", "8", "--n", "20", "--s", "2", "--seed", "-1")
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: seed must be in [0, 2**64)")
+        assert err.startswith("error: seed must be an integer in [0, 2**64)")
         assert list(workdir.iterdir()) == []
 
     def test_console_script_installed(self, workdir, dcopt_script):

@@ -149,7 +149,7 @@ class TestGenerateInstance:
     @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2**64"])
     def test_rejects_seed_outside_u64_before_drawing_A(self, monkeypatch, seed):
         monkeypatch.setattr(instances, "gauss_vector", lambda *args: pytest.fail("A was drawn"))
-        with pytest.raises(ValueError, match="seed must be in"):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
             generate_instance(4, 6, 2, seed=seed)
 
     def test_zero_column_is_rejected_not_redrawn(self, monkeypatch):
@@ -227,10 +227,10 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="noise_scale"):
             ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), 0, noise_scale)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2**64"])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5], ids=["-1", "2**64", "1.5"])
     def test_rejects_seed_outside_u64(self, seed):
-        # the container stores the seed as u64; -1 used to come back as 2**64 - 1
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        # the container stores the seed as u64: -1 came back as 2**64 - 1, and 1.5 failed to pack
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), seed, 0.0)
 
     def test_rejects_b_whose_squared_norm_overflows(self):
