@@ -11,7 +11,6 @@ descent inequality, and every l1-l2 run is checked for weight admissibility.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagnostics import check_descent, stationarity_residual
@@ -123,8 +122,12 @@ class RunRecord:
     wall_seconds: float
     t_lmax: float
     lambda_bound: float | None
-    admissible: bool
     message: str = ""
+
+    @property
+    def admissible(self) -> bool:
+        """Whether lam is below the instance's l1-l2 bound; true when there is none."""
+        return self.lambda_bound is None or self.lam < self.lambda_bound
 
 
 @dataclass(frozen=True)
@@ -145,35 +148,30 @@ class CellRow:
     stats: dict[str, CellStats]
 
 
-@dataclass
-class ResultTable:
-    records: list[RunRecord]
+def cell_rows(records: list[RunRecord]) -> list[CellRow]:
+    """Per-(cell, lambda) means over the records, in the order first seen.
 
-    @property
-    def rows(self) -> list[CellRow]:
-        """Per-(cell, lambda) means over the records, in the order first seen.
-
-        Sums run in record order. t_lmax is averaged over a cell's replicates.
-        """
-        runs: dict[tuple, dict[str, list[RunRecord]]] = {}
-        lmax: dict[tuple, dict[int, float]] = {}
-        for r in self.records:
-            runs.setdefault((r.m, r.n, r.s, r.lam), {}).setdefault(r.solver, []).append(r)
-            lmax.setdefault((r.m, r.n, r.s), {})[r.replicate] = r.t_lmax
-        rows = []
-        for (m, n, s, lam), by_solver in runs.items():
-            per_rep = lmax[(m, n, s)]
-            stats = {
-                name: CellStats(
-                    iter_mean=sum(r.iterations for r in rs) / len(rs),
-                    cap_fraction=sum(r.status == "iteration_cap" for r in rs) / len(rs),
-                    cpu_mean=sum(r.wall_seconds for r in rs) / len(rs),
-                    fval_mean=sum(r.fval for r in rs) / len(rs),
-                )
-                for name, rs in by_solver.items()
-            }
-            rows.append(CellRow(m, n, s, lam, sum(per_rep.values()) / len(per_rep), stats))
-        return rows
+    Sums run in record order. t_lmax is averaged over a cell's replicates.
+    """
+    runs: dict[tuple, dict[str, list[RunRecord]]] = {}
+    lmax: dict[tuple, dict[int, float]] = {}
+    for r in records:
+        runs.setdefault((r.m, r.n, r.s, r.lam), {}).setdefault(r.solver, []).append(r)
+        lmax.setdefault((r.m, r.n, r.s), {})[r.replicate] = r.t_lmax
+    rows = []
+    for (m, n, s, lam), by_solver in runs.items():
+        per_rep = lmax[(m, n, s)]
+        stats = {
+            name: CellStats(
+                iter_mean=sum(r.iterations for r in rs) / len(rs),
+                cap_fraction=sum(r.status == "iteration_cap" for r in rs) / len(rs),
+                cpu_mean=sum(r.wall_seconds for r in rs) / len(rs),
+                fval_mean=sum(r.fval for r in rs) / len(rs),
+            )
+            for name, rs in by_solver.items()
+        }
+        rows.append(CellRow(m, n, s, lam, sum(per_rep.values()) / len(per_rep), stats))
+    return rows
 
 
 def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> int:
@@ -199,7 +197,6 @@ def _run_cell_replicate(
     records: list[RunRecord] = []
     for lam in plan.lambdas:
         spec = make_spec(plan.reg_family, **{"lambda": lam, **plan.reg_params})
-        admissible = bound > lam if bound is not None else True
         for solver_name in plan.solvers:
             cfg = SolverConfig(algorithm=solver_name, L_override=L)
             res = solve(inst, spec, cfg)
@@ -227,14 +224,13 @@ def _run_cell_replicate(
                     wall_seconds=res.wall_seconds,
                     t_lmax=t_lmax,
                     lambda_bound=bound,
-                    admissible=admissible,
                     message=res.message,
                 )
             )
     return records
 
 
-def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> ResultTable:
+def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> list[RunRecord]:
     """Run every (cell, replicate, lambda, solver) combination, in plan order.
 
     Instances and their L are computed once per (cell, replicate) and shared
@@ -250,12 +246,15 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> ResultTable:
     if jobs == 1:
         batches = [_run_cell_replicate(plan, cell, rep) for cell, rep in units]
     else:
+        # imported here so that neither `import dcopt` nor a serial run loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork-based pool starts all its workers at once: no more than there are units
         with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             futures = [pool.submit(_run_cell_replicate, plan, cell, rep) for cell, rep in units]
             batches = [f.result() for f in futures]
 
-    return ResultTable([rec for batch in batches for rec in batch])
+    return [rec for batch in batches for rec in batch]
 
 
 _CSV_HEADER = ",".join(["n", "m", "s", "t_lmax"] + [
@@ -276,9 +275,9 @@ def _row_cells(row: CellRow) -> list[str]:
     return cells
 
 
-def render_table(table: ResultTable, fmt: str = "csv") -> str:
-    """Render the aggregated table as csv or markdown (same columns)."""
-    rows = table.rows
+def render_table(records: list[RunRecord], fmt: str = "csv") -> str:
+    """Render the per-cell table of the records as csv or markdown (same columns)."""
+    rows = cell_rows(records)
     if not rows:
         raise ValueError("cannot render an empty table")
     if fmt == "csv":
@@ -293,20 +292,20 @@ def render_table(table: ResultTable, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def nontiming_fingerprint(table: ResultTable) -> str:
+def nontiming_fingerprint(records: list[RunRecord]) -> str:
     """Canonical text of everything except wall-clock columns.
 
     Two runs of the same plan with the same master seed must produce equal
     fingerprints; floats are rendered with repr for exact round-tripping.
     """
     lines = []
-    for r in sorted(table.records, key=lambda r: (r.m, r.n, r.s, r.lam, r.replicate, r.solver)):
+    for r in sorted(records, key=lambda r: (r.m, r.n, r.s, r.lam, r.replicate, r.solver)):
         lines.append(
             f"rec,{r.m},{r.n},{r.s},{r.lam!r},{r.replicate},{r.seed},{r.solver},"
             f"{r.iterations},{r.status},{r.fval!r},{r.residual!r},"
             f"{r.lambda_bound!r},{r.admissible},{r.message}"
         )
-    for row in table.rows:
+    for row in cell_rows(records):
         for name in sorted(row.stats):
             st = row.stats[name]
             lines.append(

@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from .bench import InvariantViolation, parse_plan, render_table, run_benchmark
-from .diagnostics import stationarity_residual
+from .diagnostics import merit, stationarity_residual
 from .instances import generate_instance, load_instance, save_instance
 from .linalg import lmax_gram
 from .regularizers import parse_reg
@@ -31,10 +31,11 @@ def _write_trace(path: str, res: SolveResult, L: float) -> None:
     # extrapolation weight used at t (which produced x^{t+1}); gist has no E or beta
     steps = [0.0, *res.step_norm_trace.tolist()]
     betas = None if res.beta_trace is None else res.beta_trace.tolist()
+    merits = None if betas is None else merit(res, L).tolist()
     with open(path, "w") as fh:
         fh.write("t,F,E,step_norm,beta\n")
         for t, F in enumerate(res.objective_trace.tolist()):
-            e_cell = repr(F + 0.5 * L * steps[t] * steps[t]) if betas is not None else ""
+            e_cell = repr(merits[t]) if merits is not None else ""
             s_cell = repr(steps[t]) if t >= 1 else ""
             b_cell = repr(betas[t]) if betas is not None and t < res.iterations else ""
             fh.write(f"{t},{F!r},{e_cell},{s_cell},{b_cell}\n")
@@ -72,19 +73,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.plan) as fh:
         plan = parse_plan(fh.read())
     try:
-        table = run_benchmark(plan, jobs=args.jobs)
+        records = run_benchmark(plan, jobs=args.jobs)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     with open(args.out_csv, "w") as fh:
-        fh.write(render_table(table, "csv") + "\n")
+        fh.write(render_table(records, "csv") + "\n")
     print(args.out_csv)
     if args.out_md:
         with open(args.out_md, "w") as fh:
-            fh.write(render_table(table, "markdown") + "\n")
+            fh.write(render_table(records, "markdown") + "\n")
         print(args.out_md)
     rc = 0
-    for rec in table.records:
+    for rec in records:
         if not rec.admissible:
             print(
                 f"inadmissible weight: lam={rec.lam:g} vs bound {rec.lambda_bound:.6g} "
@@ -93,7 +94,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             rc = 2
     if rc == 0:
-        for rec in table.records:
+        for rec in records:
             if rec.status == "aborted":
                 print(
                     f"solver abort: {rec.solver} on ({rec.m},{rec.n},{rec.s}) "

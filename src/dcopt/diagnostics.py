@@ -31,32 +31,37 @@ def _check_L(L: float) -> None:
         raise ValueError("L must be positive and finite")
 
 
+def merit(result: SolveResult, L: float) -> np.ndarray:
+    """E_t = F(x^t) + (L/2)||x^t - x^{t-1}||^2 for t = 0..iterations.
+
+    Computed from the objective and step traces with the L given here; the
+    incoming step at t = 0 is zero because x^0 = x^{-1}, so E_0 = F(x^0).
+    """
+    step_in = np.concatenate(([0.0], result.step_norm_trace))
+    return np.asarray(result.objective_trace, dtype=np.float64) + 0.5 * L * step_in * step_in
+
+
 def check_descent(result: SolveResult, L: float) -> DescentReport:
     """Replay a pdca_e/pdca run's traces against the per-step descent bound.
 
-    The merit E_t = F(x^t) + (L/2)||x^t - x^{t-1}||^2 is computed from the
-    objective and step traces with the L given here (the incoming step at
-    t = 0 is zero because x^0 = x^{-1}). Checks
-    E_t - E_{t+1} >= (L/2)(1 - beta_t^2) * ||x^t - x^{t-1}||^2 for every step,
-    with slack 1e-8 * max(1, |E_0|). Every beta_t < 1, so a run without
-    violations also has a merit that never rises by more than the slack.
+    Checks E_t - E_{t+1} >= (L/2)(1 - beta_t^2) * ||x^t - x^{t-1}||^2 for
+    every step, with E the merit above and slack 1e-8 * max(1, |E_0|). Every
+    beta_t < 1, so a run without violations also has a merit that never rises
+    by more than the slack.
     """
     _check_L(L)
     if result.beta_trace is None:
         raise ValueError("check_descent needs a pdca_e or pdca run")
-    obj = np.asarray(result.objective_trace, dtype=np.float64)
-    steps = np.asarray(result.step_norm_trace, dtype=np.float64)
-    betas = np.asarray(result.beta_trace, dtype=np.float64)
     T = result.iterations
-    if obj.size != T + 1 or steps.size != T or betas.size != T:
-        raise ValueError(f"trace lengths ({obj.size}, {steps.size}, {betas.size}) "
-                         f"inconsistent with iterations={T}")
+    sizes = (len(result.objective_trace), T, len(result.beta_trace))
+    if sizes != (T + 1, T, T):
+        raise ValueError(f"trace lengths {sizes} inconsistent with iterations={T}")
 
-    step_in = np.concatenate(([0.0], steps))
-    merit = obj + 0.5 * L * step_in * step_in
-    slack = 1e-8 * max(1.0, abs(float(merit[0])))
-    shortfall = (0.5 * L * (1.0 - betas * betas) * (step_in[:T] * step_in[:T])
-                 - (merit[:-1] - merit[1:]))
+    E = merit(result, L)
+    betas = np.asarray(result.beta_trace, dtype=np.float64)
+    step_in = np.concatenate(([0.0], result.step_norm_trace))[:T]
+    slack = 1e-8 * max(1.0, abs(float(E[0])))
+    shortfall = 0.5 * L * (1.0 - betas * betas) * (step_in * step_in) - (E[:-1] - E[1:])
     # a NaN shortfall (from a non-finite merit) is neither a violation nor a maximum
     return DescentReport(int(np.count_nonzero(shortfall > slack)),
                          float(shortfall[shortfall > 0.0].max(initial=0.0)))

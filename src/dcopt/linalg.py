@@ -8,6 +8,7 @@ documented Gaussian transform, and all arithmetic is plain float64.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,8 +22,9 @@ _MASK = (1 << 64) - 1
 
 
 def mix64(z: int) -> int:
-    """splitmix64 finalizer on a Python int, reduced mod 2^64."""
-    return int(_mix64_array(np.uint64(z & _MASK)))
+    """splitmix64 finalizer on an integer, reduced mod 2^64."""
+    # operator.index turns a numpy integer into a Python int, whose & cannot overflow
+    return int(_mix64_array(np.uint64(operator.index(z) & _MASK)))
 
 
 def combine_seed(*parts: int) -> int:
@@ -33,7 +35,7 @@ def combine_seed(*parts: int) -> int:
     """
     h = _GAMMA
     for p in parts:
-        h = mix64(h ^ (p & _MASK))
+        h = mix64(h ^ operator.index(p))
     return h
 
 
@@ -66,7 +68,7 @@ class RandomSource:
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
         base = mix64(self.seed)
-        self.state = mix64(base ^ mix64(((self.stream_id + 1) * _GAMMA) & _MASK))
+        self.state = mix64(base ^ mix64((operator.index(self.stream_id) + 1) * _GAMMA))
 
     def raw(self, count: int) -> np.ndarray:
         """Next `count` raw 64-bit words as a uint64 array."""

@@ -2,8 +2,7 @@
 
 Each family is one frozen dataclass that owns its formulas: the weight w of
 P1 = w * ||x||_1 (so the P1 prox is soft thresholding), P2 and a chosen
-element of its subdifferential, the Lipschitz modulus of grad P2 where there
-is one, and the full nonconvex prox needed by GIST. The solvers call the
+element of its subdifferential, and the full nonconvex prox needed by GIST. The solvers call the
 module functions below, which hold the shared guards.
 
 Penalties are even in each coordinate, so a separable family's nonconvex prox
@@ -55,11 +54,6 @@ class RegularizerSpec:
     def weight(self) -> float:
         """The weight w with P1 = w * ||.||_1."""
         return self.lam
-
-    @property
-    def p2_lipschitz(self) -> float | None:
-        """Lipschitz modulus of grad P2, or None when P2 is nonsmooth."""
-        return None
 
     def prox(self, z: np.ndarray, ell: float) -> np.ndarray:
         """argmin_u (ell/2) ||u - z||^2 + P1(u) - P2(u), for lam > 0 and finite z.
@@ -120,10 +114,6 @@ class LogPenalty(RegularizerSpec):
     def weight(self):
         return self.lam / self.eps
 
-    @property
-    def p2_lipschitz(self):
-        return self.lam / self.eps**2
-
     def p2(self, x):
         ax = np.abs(x)
         # log(|x|+eps) - log(eps) = log1p(|x|/eps), stable for small |x|
@@ -150,10 +140,6 @@ class MCP(RegularizerSpec):
 
     theta: float
     name: ClassVar[str] = "mcp"
-
-    @property
-    def p2_lipschitz(self):
-        return 1.0 / self.theta
 
     def p2(self, x):
         lam, th = self.lam, self.theta
@@ -186,10 +172,6 @@ class SCAD(RegularizerSpec):
     theta: float
     name: ClassVar[str] = "scad"
     floor: ClassVar[float] = 2.0
-
-    @property
-    def p2_lipschitz(self):
-        return 1.0 / (self.theta - 1.0)
 
     def p2(self, x):
         lam, th = self.lam, self.theta
@@ -228,10 +210,6 @@ class TransformedL1(RegularizerSpec):
     @property
     def weight(self):
         return self.lam * (self.a + 1.0) / self.a
-
-    @property
-    def p2_lipschitz(self):
-        return 2.0 * self.lam * (self.a + 1.0) / self.a**2
 
     def p2(self, x):
         lam, a = self.lam, self.a

@@ -38,6 +38,11 @@ _GIST_L_MAX = 1e8
 _GIST_L0_FIRST = 1.0
 
 
+def _is_count(value) -> bool:
+    # bool is an Integral, but True would silently mean a count of 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str
@@ -52,10 +57,9 @@ class SolverConfig:
             raise ValueError(f"algorithm must be one of {SOLVERS}")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _is_count(self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
-        period = self.restart_period
-        if period is not None and (not isinstance(period, numbers.Integral) or period < 1):
+        if self.restart_period is not None and not _is_count(self.restart_period):
             raise ValueError("restart_period must be an integer >= 1 when present")
         if self.L_override is not None and not 0 < self.L_override < math.inf:
             raise ValueError("L_override must be positive and finite")
@@ -94,13 +98,17 @@ def next_beta(
 @dataclass
 class SolveResult:
     x_final: np.ndarray
-    iterations: int
     status: str  # converged | iteration_cap | aborted
     objective_trace: np.ndarray
     step_norm_trace: np.ndarray
     beta_trace: np.ndarray | None  # pdca_e and pdca (all 0); None for gist
     wall_seconds: float
     message: str = ""
+
+    @property
+    def iterations(self) -> int:
+        """Steps taken: one per entry of step_norm_trace."""
+        return len(self.step_norm_trace)
 
 
 def _resolve_L(inst: ProblemInstance, cfg: SolverConfig) -> float:
@@ -158,7 +166,6 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
 
     status = "iteration_cap"
     message = ""
-    iterations = cfg.max_iter
 
     t_start = time.perf_counter()
     for t in range(cfg.max_iter):
@@ -203,7 +210,6 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
                 message = f"non-finite iterate at t={t}"
         if message:
             status = "aborted"
-            iterations = t
             break
 
         step = float(np.linalg.norm(x_new - x))
@@ -217,13 +223,11 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
 
         if step / max(1.0, float(np.linalg.norm(x))) < cfg.tol:
             status = "converged"
-            iterations = t + 1
             break
     wall = time.perf_counter() - t_start
 
     return SolveResult(
         x_final=x,
-        iterations=iterations,
         status=status,
         objective_trace=np.array(obj),
         step_norm_trace=np.array(steps),

@@ -191,6 +191,21 @@ def textbook_p1_weight(spec) -> float:
     return spec.lam
 
 
+def textbook_p2_lipschitz(spec) -> float | None:
+    """Lipschitz modulus of grad P2, the largest |P2''| on u > 0; None when P2
+    is nonsmooth (l1-l2 has a kink at the origin)."""
+    name = type(spec).__name__
+    if name == "LogPenalty":
+        return spec.lam / spec.eps**2  # lam / (u + eps)^2 at u = 0
+    if name == "MCP":
+        return 1.0 / spec.theta  # u / theta below the knee
+    if name == "SCAD":
+        return 1.0 / (spec.theta - 1.0)  # (u - lam)^2 / (2 (theta - 1)) between the knees
+    if name == "TransformedL1":
+        return 2.0 * spec.lam * (spec.a + 1.0) / spec.a**2  # 2 lam (a+1) a / (a + u)^3 at 0
+    return None
+
+
 def prox_objective(spec, z: np.ndarray, L_t: float, u: np.ndarray) -> float:
     """The full_prox subproblem objective (L_t/2)||u - z||^2 + P1(u) - P2(u)."""
     z = np.asarray(z, dtype=np.float64)

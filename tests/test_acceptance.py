@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from dcopt.bench import BenchmarkPlan, nontiming_fingerprint, run_benchmark
+from dcopt.bench import BenchmarkPlan, cell_rows, nontiming_fingerprint, run_benchmark
 from dcopt.diagnostics import check_descent
 from dcopt.instances import generate_instance, l12_lambda_bound
 from dcopt.linalg import lmax_gram
@@ -34,7 +34,14 @@ from dcopt.regularizers import (
 )
 from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
 
-from oracles import fd_gradient, jacobi_lmax, prox_objective, prox_oracle, smooth_eval
+from oracles import (
+    fd_gradient,
+    jacobi_lmax,
+    prox_objective,
+    prox_oracle,
+    smooth_eval,
+    textbook_p2_lipschitz,
+)
 
 DESK_CELL = (720, 2560, 80)
 DESK_REPS = 10
@@ -102,8 +109,8 @@ def test_criterion_1_descent_certificates():
 def test_criterion_2_l1l2_desk_table(table_l12):
     """Hard l1-l2 cell: plain DCA caps, extrapolation cuts iterations hard,
     and the objective ordering pdca_e <= gist <= pdca holds on the means."""
-    _, table = table_l12
-    row = table.rows[0]
+    _, records = table_l12
+    row = cell_rows(records)[0]
     gist, pdca_e, pdca = row.stats["gist"], row.stats["pdca_e"], row.stats["pdca"]
     checks = [
         ("pdca cap>=0.9", pdca.cap_fraction >= 0.9),
@@ -124,8 +131,8 @@ def test_criterion_2_l1l2_desk_table(table_l12):
 def test_criterion_3_log_desk_table(table_log):
     """Log-penalty cell: every plain-DCA run terminates before the cap, the
     iteration means sit in their bands, and all three solvers agree on F."""
-    _, table = table_log
-    row = table.rows[0]
+    _, records = table_log
+    row = cell_rows(records)[0]
     gist, pdca_e, pdca = row.stats["gist"], row.stats["pdca_e"], row.stats["pdca"]
     fvals = [gist.fval_mean, pdca_e.fval_mean, pdca.fval_mean]
     rel_spread = max(
@@ -209,7 +216,7 @@ def test_criterion_5_gradient_and_lipschitz():
     ]
     worst_excess = -np.inf
     for spec in smooth_specs:
-        lip = spec.p2_lipschitz
+        lip = textbook_p2_lipschitz(spec)
         for _ in range(1000):
             x = rng.normal(0.0, 3.0, size=5)
             y = x + rng.normal(0.0, rng.choice([1e-3, 0.3, 3.0]), size=5)
@@ -276,14 +283,14 @@ def test_criterion_7_beta_schedule_range():
 def test_criterion_8_stationarity_and_weight_bounds(table_l12, table_log):
     """Converged pdca_e/gist benchmark runs sit within 10x tol of first-order
     stationarity, and every l1-l2 instance admits its lambda."""
-    records = table_l12[1].records + table_log[1].records
+    records = table_l12[1] + table_log[1]
     checked = 0
     worst = 0.0
     for rec in records:
         if rec.solver in ("pdca_e", "gist") and rec.status == "converged":
             checked += 1
             worst = max(worst, rec.residual)
-    l12 = table_l12[1].records
+    l12 = table_l12[1]
     admissible = all(r.admissible and r.lambda_bound > r.lam for r in l12)
     ok = checked > 0 and worst <= 10.0 * TOL and admissible
     _report(
@@ -297,9 +304,9 @@ def test_criterion_8_stationarity_and_weight_bounds(table_l12, table_log):
 def test_criterion_9_bitwise_reproducibility(table_l12):
     """Re-running the l1-l2 desk plan reproduces every non-timing output
     bit for bit."""
-    plan, table = table_l12
+    plan, records = table_l12
     again = run_benchmark(plan, jobs=1)
-    first, second = nontiming_fingerprint(table), nontiming_fingerprint(again)
+    first, second = nontiming_fingerprint(records), nontiming_fingerprint(again)
     ok = first == second
     digest = hashlib.sha256(first.encode()).hexdigest()[:16]
     _report(9, ok, f"fingerprint sha256:{digest} {'==' if ok else '!='} rerun")

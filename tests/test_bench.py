@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import os
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from dcopt import bench as bench_mod
 from dcopt.bench import (
     BenchmarkPlan,
     InvariantViolation,
-    ResultTable,
     RunRecord,
+    cell_rows,
     nontiming_fingerprint,
     parse_plan,
     render_table,
@@ -36,15 +36,15 @@ TINY_PLAN = BenchmarkPlan(
 
 
 @pytest.fixture(scope="module")
-def tiny_table():
+def tiny_records():
     return run_benchmark(TINY_PLAN, jobs=1)
 
 
-def record(solver, replicate=0, status="converged", iterations=10, fval=0.5):
+def record(solver, replicate=0, status="converged", iterations=10, fval=0.5, lambda_bound=None):
     """A hand-made run of cell 10x20x2 at lam 1e-3."""
     return RunRecord(m=10, n=20, s=2, lam=1e-3, replicate=replicate, seed=0, solver=solver,
                      iterations=iterations, status=status, fval=fval, residual=0.0,
-                     wall_seconds=1.0, t_lmax=0.5, lambda_bound=None, admissible=True)
+                     wall_seconds=1.0, t_lmax=0.5, lambda_bound=lambda_bound)
 
 
 class TestParsePlan:
@@ -152,28 +152,45 @@ class TestReplicateSeed:
         assert replicate_seed(0, 10, 20, 3, 0) != base
         assert replicate_seed(0, 10, 20, 2, 1) != base
 
+    def test_numpy_integer_components(self):
+        # a signed numpy master seed overflowed inside the 64-bit mask
+        want = replicate_seed(1, 720, 2560, 80, 0)
+        assert replicate_seed(np.int64(1), 720, 2560, 80, 0) == want
+        assert replicate_seed(np.int32(1), np.int64(720), 2560, 80, np.uint64(0)) == want
+        with pytest.raises(TypeError):
+            replicate_seed(1.0, 720, 2560, 80, 0)
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(("bound", "admissible"),
+                             [(None, True), (2e-3, True), (1e-3, False), (5e-4, False)])
+    def test_admissible_iff_lam_below_bound(self, bound, admissible):
+        rec = record("pdca", lambda_bound=bound)  # lam = 1e-3
+        assert rec.admissible is admissible
+        assert nontiming_fingerprint([rec]).splitlines()[0].endswith(f",{admissible},")
+
 
 class TestRunBenchmark:
-    def test_record_and_row_counts(self, tiny_table):
+    def test_record_and_row_counts(self, tiny_records):
         # cells x replicates x lambdas x solvers
-        assert len(tiny_table.records) == 1 * 2 * 1 * 3
-        assert len(tiny_table.rows) == 1
+        assert len(tiny_records) == 1 * 2 * 1 * 3
+        assert len(cell_rows(tiny_records)) == 1
 
-    def test_records_carry_positive_lmax_time(self, tiny_table):
-        assert all(r.t_lmax > 0.0 for r in tiny_table.records)
+    def test_records_carry_positive_lmax_time(self, tiny_records):
+        assert all(r.t_lmax > 0.0 for r in tiny_records)
 
-    def test_accelerated_solvers_converge_on_easy_cell(self, tiny_table):
+    def test_accelerated_solvers_converge_on_easy_cell(self, tiny_records):
         # plain pdca may legitimately hit the cap even here
-        assert all(r.status == "converged" for r in tiny_table.records
+        assert all(r.status == "converged" for r in tiny_records
                    if r.solver in ("pdca_e", "gist"))
-        assert all(r.status != "aborted" for r in tiny_table.records)
-        assert all(r.admissible for r in tiny_table.records)
+        assert all(r.status != "aborted" for r in tiny_records)
+        assert all(r.admissible for r in tiny_records)
 
     def test_instances_shared_across_lambdas(self):
         plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4), solvers=["pdca_e"])
-        table = run_benchmark(plan, jobs=1)
+        records = run_benchmark(plan, jobs=1)
         by_rep = {}
-        for rec in table.records:
+        for rec in records:
             by_rep.setdefault(rec.replicate, set()).add(rec.seed)
         for seeds in by_rep.values():
             assert len(seeds) == 1  # same instance seed regardless of lambda
@@ -181,13 +198,13 @@ class TestRunBenchmark:
     def test_lambda_zero_recovers_interpolation(self):
         # with no penalty and m < n the residual can be driven to zero
         plan = dataclasses.replace(TINY_PLAN, lambdas=(0.0,), solvers=["pdca_e", "gist"])
-        table = run_benchmark(plan, jobs=1)
-        assert all(r.status == "converged" for r in table.records)
-        assert all(r.fval < 1e-6 for r in table.records)
+        records = run_benchmark(plan, jobs=1)
+        assert all(r.status == "converged" for r in records)
+        assert all(r.fval < 1e-6 for r in records)
 
-    def test_parallel_matches_serial(self, tiny_table):
+    def test_parallel_matches_serial(self, tiny_records):
         parallel = run_benchmark(TINY_PLAN, jobs=2)
-        assert nontiming_fingerprint(parallel) == nontiming_fingerprint(tiny_table)
+        assert nontiming_fingerprint(parallel) == nontiming_fingerprint(tiny_records)
 
     def test_fval_is_the_objective_at_the_final_iterate(self, monkeypatch):
         # the record takes F from the objective trace; it must be F(x_final)
@@ -202,9 +219,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench_mod, "solve", recording_solve)
         plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-3), reg_family="log",
                                    reg_params={"eps": 0.5})
-        table = run_benchmark(plan, jobs=1)
-        assert len(runs) == len(table.records) == 2 * 2 * 3
-        for rec, (inst, spec, res) in zip(table.records, runs):
+        records = run_benchmark(plan, jobs=1)
+        assert len(runs) == len(records) == 2 * 2 * 3
+        for rec, (inst, spec, res) in zip(records, runs):
             assert type(rec.fval) is float
             assert rec.fval == objective(inst, spec, res.x_final)
 
@@ -216,10 +233,10 @@ class TestRunBenchmark:
             return l12_lambda_bound(inst)
 
         monkeypatch.setattr(bench_mod, "l12_lambda_bound", counting_bound)
-        table = run_benchmark(dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4, 1e-4)), jobs=1)
-        assert sorted(calls) == sorted({r.seed for r in table.records})
+        records = run_benchmark(dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4, 1e-4)), jobs=1)
+        assert sorted(calls) == sorted({r.seed for r in records})
 
-    def test_pool_has_no_more_workers_than_units(self, monkeypatch, tiny_table):
+    def test_pool_has_no_more_workers_than_units(self, monkeypatch, tiny_records):
         # a stand-in pool that runs in this process, so no worker is started
         sizes = []
 
@@ -234,14 +251,14 @@ class TestRunBenchmark:
                 return False
 
             def submit(self, fn, *args):
-                future = Future()
+                future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", InlinePool)
-        table = run_benchmark(TINY_PLAN, jobs=64)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        records = run_benchmark(TINY_PLAN, jobs=64)
         assert sizes == [2]  # one cell, two replicates
-        assert nontiming_fingerprint(table) == nontiming_fingerprint(tiny_table)
+        assert nontiming_fingerprint(records) == nontiming_fingerprint(tiny_records)
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -255,82 +272,80 @@ class TestRunBenchmark:
 
 
 class TestRendering:
-    def test_csv_header_exact(self, tiny_table):
-        out = render_table(tiny_table, "csv")
+    def test_csv_header_exact(self, tiny_records):
+        out = render_table(tiny_records, "csv")
         assert out.splitlines()[0] == (
             "n,m,s,t_lmax,iter_gist,iter_pdcae,iter_pdca,"
             "cpu_gist,cpu_pdcae,cpu_pdca,fval_gist,fval_pdcae,fval_pdca"
         )
 
-    def test_csv_row_structure(self, tiny_table):
-        lines = render_table(tiny_table, "csv").splitlines()
+    def test_csv_row_structure(self, tiny_records):
+        lines = render_table(tiny_records, "csv").splitlines()
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert len(cells) == 13
         assert cells[0] == "50" and cells[1] == "20" and cells[2] == "3"
 
-    def test_markdown_structure(self, tiny_table):
-        lines = render_table(tiny_table, "markdown").splitlines()
+    def test_markdown_structure(self, tiny_records):
+        lines = render_table(tiny_records, "markdown").splitlines()
         assert lines[0].startswith("| n | m | s |")
         assert set(lines[1]) <= {"|", "-"}
         assert len(lines) == 3
 
     def test_fval_format(self):
-        table = ResultTable([record(name, fval=0.0297432) for name in ("gist", "pdca_e", "pdca")])
-        assert "2.9743e-02" in render_table(table, "csv")
+        records = [record(name, fval=0.0297432) for name in ("gist", "pdca_e", "pdca")]
+        assert "2.9743e-02" in render_table(records, "csv")
 
     def test_iter_cell_says_max_only_when_every_replicate_caps(self):
         def mk(capped):
-            return ResultTable([
+            return [
                 record(name, replicate=rep, iterations=5000,
                        status="iteration_cap" if rep < capped else "converged")
                 for rep in range(10) for name in ("gist", "pdca_e", "pdca")
-            ])
+            ]
 
         assert ",max," in render_table(mk(10), "csv").splitlines()[1]
         assert "max" not in render_table(mk(9), "csv").splitlines()[1]
 
     def test_missing_solver_leaves_blank_cells(self):
-        table = ResultTable([record("gist")])
-        line = render_table(table, "csv").splitlines()[1]
-        assert ",,," not in render_table(table, "markdown")
+        records = [record("gist")]
+        line = render_table(records, "csv").splitlines()[1]
+        assert ",,," not in render_table(records, "markdown")
         assert line.split(",")[5] == ""  # iter_pdcae absent
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            render_table(ResultTable([]), "csv")
+            render_table([], "csv")
 
-    def test_unknown_format_rejected(self, tiny_table):
+    def test_unknown_format_rejected(self, tiny_records):
         with pytest.raises(ValueError):
-            render_table(tiny_table, "html")
+            render_table(tiny_records, "html")
 
 
 class TestFingerprint:
-    def test_repeat_run_is_bit_identical(self, tiny_table):
+    def test_repeat_run_is_bit_identical(self, tiny_records):
         again = run_benchmark(TINY_PLAN, jobs=1)
-        assert nontiming_fingerprint(again) == nontiming_fingerprint(tiny_table)
+        assert nontiming_fingerprint(again) == nontiming_fingerprint(tiny_records)
 
-    def test_master_seed_changes_fingerprint(self, tiny_table):
+    def test_master_seed_changes_fingerprint(self, tiny_records):
         other = run_benchmark(dataclasses.replace(TINY_PLAN, master_seed=5), jobs=1)
-        assert nontiming_fingerprint(other) != nontiming_fingerprint(tiny_table)
+        assert nontiming_fingerprint(other) != nontiming_fingerprint(tiny_records)
 
-    def test_ignores_wall_clock(self, tiny_table):
+    def test_ignores_wall_clock(self, tiny_records):
         slowed = [dataclasses.replace(r, wall_seconds=r.wall_seconds + 99.0,
                                       t_lmax=r.t_lmax + 99.0)
-                  for r in tiny_table.records]
-        table = ResultTable(slowed)
-        assert nontiming_fingerprint(table) == nontiming_fingerprint(tiny_table)
+                  for r in tiny_records]
+        assert nontiming_fingerprint(slowed) == nontiming_fingerprint(tiny_records)
 
-    def test_sensitive_to_iterations(self, tiny_table):
+    def test_sensitive_to_iterations(self, tiny_records):
         bumped = [dataclasses.replace(r, iterations=r.iterations + 1)
-                  for r in tiny_table.records]
-        table = ResultTable(bumped)
-        assert nontiming_fingerprint(table) != nontiming_fingerprint(tiny_table)
+                  for r in tiny_records]
+        assert nontiming_fingerprint(bumped) != nontiming_fingerprint(tiny_records)
 
-    def test_table_is_a_function_of_its_records(self, tiny_table):
-        rebuilt = ResultTable(list(tiny_table.records))
-        assert nontiming_fingerprint(rebuilt) == nontiming_fingerprint(tiny_table)
-        assert render_table(rebuilt, "csv") == render_table(tiny_table, "csv")
+    def test_table_is_a_function_of_its_records(self, tiny_records):
+        rebuilt = [dataclasses.replace(r) for r in tiny_records]
+        assert nontiming_fingerprint(rebuilt) == nontiming_fingerprint(tiny_records)
+        assert render_table(rebuilt, "csv") == render_table(tiny_records, "csv")
 
 
 # The last bits of numpy's log, power, cbrt and arccos depend on the numpy build

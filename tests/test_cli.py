@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from dcopt.cli import main
+from dcopt.diagnostics import merit
 from dcopt.instances import load_instance, save_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import parse_reg
@@ -163,6 +164,7 @@ class TestSolve:
         if solver == "gist":
             assert all(r[2] == "" and r[4] == "" for r in rows)
         else:
+            assert [r[2] for r in rows] == [repr(e) for e in merit(res, L).tolist()]
             assert [r[2] for r in rows] == [repr(e) for e in merit_loop(res, L)]
             betas = [r[4] for r in rows[:-1]]
             assert betas == [repr(float(b)) for b in res.beta_trace]

@@ -152,6 +152,17 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="seed must be an integer in"):
             generate_instance(4, 6, 2, seed=seed)
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=["int64", "uint64"])
+    def test_numpy_integer_seed_matches_python_int(self, seed):
+        a, b = generate_instance(4, 6, 2, seed=seed), generate_instance(4, 6, 2, seed=5)
+        for name in ("A", "b", "ground_truth", "support"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.seed == 5
+
+    def test_float_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            generate_instance(4, 6, 2, seed=5.0)
+
     def test_zero_column_is_rejected_not_redrawn(self, monkeypatch):
         real = instances.gauss_vector
 

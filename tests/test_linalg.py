@@ -112,6 +112,21 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(0, 0).randbelow(0)
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5), np.uint64(5)],
+                             ids=["int64", "int32", "uint64"])
+    def test_numpy_integer_seed_matches_python_int(self, seed):
+        # a signed numpy seed overflowed inside the 64-bit mask
+        want = RandomSource(5, 2)
+        for src in (RandomSource(seed, 2), RandomSource(seed, np.int64(2))):
+            assert src.state == want.state
+            assert np.array_equal(src.raw(16), RandomSource(5, 2).raw(16))
+        assert mix64(seed) == mix64(5)
+        assert combine_seed(seed, np.int64(-1)) == combine_seed(5, -1)
+
+    def test_float_seed_is_rejected(self):
+        with pytest.raises(TypeError):
+            RandomSource(5.0, 0)
+
 
 class TestGaussVector:
     def test_deterministic(self):

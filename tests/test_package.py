@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dcopt
@@ -43,3 +46,11 @@ def test_instances_imports_only_linalg_from_the_package():
     package = [line.split(" import ")[0] for line in imports
                if line.startswith("from .") or "dcopt" in line]
     assert package == ["from .linalg"]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a parallel run_benchmark needs concurrent.futures.process
+    code = "import sys, dcopt; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

@@ -41,6 +41,7 @@ from oracles import (
     prox_oracle,
     simpson,
     textbook_p1_weight,
+    textbook_p2_lipschitz,
     tl1_prox_three_roots,
 )
 
@@ -110,12 +111,12 @@ class TestWeights:
         assert TransformedL1(0.6, 0.5).weight == pytest.approx(1.8)
 
     def test_p2_lipschitz_hand_values(self):
-        assert L1MinusL2(1.0).p2_lipschitz is None  # kink at the origin
-        assert LogPenalty(1.0, 0.5).p2_lipschitz == pytest.approx(4.0)  # lam/eps^2
-        assert MCP(1.0, 2.0).p2_lipschitz == pytest.approx(0.5)  # 1/theta
-        assert SCAD(1.0, 3.0).p2_lipschitz == pytest.approx(0.5)  # 1/(theta-1)
+        assert textbook_p2_lipschitz(L1MinusL2(1.0)) is None  # kink at the origin
+        assert textbook_p2_lipschitz(LogPenalty(1.0, 0.5)) == pytest.approx(4.0)  # lam/eps^2
+        assert textbook_p2_lipschitz(MCP(1.0, 2.0)) == pytest.approx(0.5)  # 1/theta
+        assert textbook_p2_lipschitz(SCAD(1.0, 3.0)) == pytest.approx(0.5)  # 1/(theta-1)
         # 2 lam (a+1)/a^2 = 2 * 1 * 2 / 1
-        assert TransformedL1(1.0, 1.0).p2_lipschitz == pytest.approx(4.0)
+        assert textbook_p2_lipschitz(TransformedL1(1.0, 1.0)) == pytest.approx(4.0)
 
 
 class TestRegValue:
@@ -305,7 +306,7 @@ class TestP2Subgrad:
 
     @pytest.mark.parametrize("spec", SMOOTH_P2, ids=lambda s: type(s).__name__)
     def test_lipschitz_bound(self, spec, rng):
-        lip = spec.p2_lipschitz
+        lip = textbook_p2_lipschitz(spec)
         for _ in range(200):
             x = rng.uniform(-8.0, 8.0, size=4)
             y = rng.uniform(-8.0, 8.0, size=4)

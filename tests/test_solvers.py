@@ -61,9 +61,10 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["max_iter", "restart_period"])
-    @pytest.mark.parametrize("value", [2.5, 200.0])
+    @pytest.mark.parametrize("value", [2.5, 200.0, True])
     def test_rejects_non_integer_counts(self, field, value):
-        # restart_period=2.5 never equals the since-restart counter, so it would never fire
+        # restart_period=2.5 never equals the since-restart counter, so it would never fire;
+        # True is an Integral, and would run as a one-step cap or a restart every step
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             SolverConfig(algorithm="pdca_e", **{field: value})
 
@@ -189,6 +190,12 @@ class TestSolveResultContract:
             assert len(res.beta_trace) == t
         if algorithm == "pdca":
             assert not res.beta_trace.any()
+
+    def test_iterations_is_the_step_count(self, small_instance, small_L):
+        res = solve(small_instance, L1MinusL2(1e-3),
+                    SolverConfig(algorithm="pdca_e", L_override=small_L, max_iter=7))
+        shorter = dataclasses.replace(res, step_norm_trace=res.step_norm_trace[:-2])
+        assert (res.iterations, shorter.iterations) == (7, 5)
 
     @pytest.mark.parametrize("algorithm", SOLVERS)
     def test_trace_contract_converged(self, algorithm, small_instance, small_L):
