@@ -14,10 +14,10 @@ import time
 from dataclasses import dataclass, field
 
 from .diagnostics import check_descent, stationarity_residual
-from .instances import generate_instance, l12_lambda_bound
+from .instances import _is_seed, generate_instance, l12_lambda_bound
 from .linalg import combine_seed, lmax_gram
 from .regularizers import make_spec, parse_reg_family
-from .solvers import SOLVERS, SolverConfig, solve
+from .solvers import SOLVERS, SolverConfig, _is_count, solve
 
 
 class InvariantViolation(RuntimeError):
@@ -38,12 +38,15 @@ class BenchmarkPlan:
         if not self.grid:
             raise ValueError("plan grid must be nonempty")
         for m, n, s in self.grid:
-            if not (m >= 1 and 1 <= s <= n):
-                raise ValueError(f"grid cell {m}x{n}x{s}: need m, s >= 1 and s <= n")
+            if not (all(map(_is_count, (m, n, s))) and s <= n):
+                raise ValueError(f"grid cell {m}x{n}x{s}: need integers m, s >= 1 and s <= n")
         if not self.lambdas:
             raise ValueError("plan needs at least one lambda")
-        if self.instances_per_cell < 1:
-            raise ValueError("instances_per_cell must be >= 1")
+        if not _is_count(self.instances_per_cell):
+            raise ValueError("instances_per_cell must be an integer >= 1")
+        if not _is_seed(self.master_seed):
+            raise ValueError("master_seed must be an integer in [0, 2**64), "
+                             f"got {self.master_seed!r}")
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
@@ -230,7 +233,7 @@ def _run_cell_replicate(
     return records
 
 
-def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> list[RunRecord]:
+def run_benchmark(plan: BenchmarkPlan) -> list[RunRecord]:
     """Run every (cell, replicate, lambda, solver) combination, in plan order.
 
     Instances and their L are computed once per (cell, replicate) and shared
@@ -239,22 +242,8 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> list[RunRecord]:
     failure raises InvariantViolation immediately; aborted solves and
     inadmissible weights are flagged on the records and surfaced by the CLI.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    units = [(cell, rep) for cell in plan.grid for rep in range(plan.instances_per_cell)]
-    batches: list[list[RunRecord]]
-    if jobs == 1:
-        batches = [_run_cell_replicate(plan, cell, rep) for cell, rep in units]
-    else:
-        # imported here so that neither `import dcopt` nor a serial run loads the process pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork-based pool starts all its workers at once: no more than there are units
-        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-            futures = [pool.submit(_run_cell_replicate, plan, cell, rep) for cell, rep in units]
-            batches = [f.result() for f in futures]
-
-    return [rec for batch in batches for rec in batch]
+    return [rec for cell in plan.grid for rep in range(plan.instances_per_cell)
+            for rec in _run_cell_replicate(plan, cell, rep)]
 
 
 _CSV_HEADER = ",".join(["n", "m", "s", "t_lmax"] + [

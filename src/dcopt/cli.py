@@ -73,7 +73,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.plan) as fh:
         plan = parse_plan(fh.read())
     try:
-        records = run_benchmark(plan, jobs=args.jobs)
+        records = run_benchmark(plan)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
@@ -125,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--instance", required=True)
     slv.add_argument("--reg", required=True, help="e.g. l1-l2:lambda=5e-4 or log:lambda=1e-3,eps=0.5")
     slv.add_argument("--solver", required=True, choices=SOLVERS)
-    slv.add_argument("--tol", type=float, default=1e-5)
-    slv.add_argument("--max-iter", type=int, default=5000)
-    slv.add_argument("--restart", type=int, default=200, help="fixed restart period; 0 disables")
+    slv.add_argument("--tol", type=float, default=SolverConfig.tol)
+    slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    slv.add_argument("--restart", type=int, default=SolverConfig.restart_period,
+                     help="fixed restart period; 0 disables")
     slv.add_argument("--no-adaptive", action="store_true")
     slv.add_argument("--trace", default=None, help="write per-iteration t,F,E,step_norm,beta CSV")
     slv.set_defaults(func=_cmd_solve)
@@ -136,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--plan", required=True)
     ben.add_argument("--out-csv", required=True)
     ben.add_argument("--out-md", default=None)
-    ben.add_argument("--jobs", type=int, default=1)
     ben.set_defaults(func=_cmd_bench)
 
     return parser

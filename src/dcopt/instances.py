@@ -46,8 +46,12 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _is_seed(value) -> bool:
+    return isinstance(value, numbers.Integral) and 0 <= value < 1 << 64
+
+
 def _check_seed_and_noise(seed: int, noise_scale: float) -> None:
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+    if not _is_seed(seed):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not 0 <= noise_scale < math.inf:
         raise ValueError("noise_scale must be non-negative and finite")

@@ -8,6 +8,7 @@ documented Gaussian transform, and all arithmetic is plain float64.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -136,7 +137,8 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     when the spectral gap is tight). After _LMAX_MAX_ITER iterations the best
     estimate is returned with converged=False; reporting that is the caller's
     job (solve logs it, the CLI prints it, bench raises). If A v = 0, the value
-    is 0, reported converged only when A = 0.
+    is 0, reported converged only when A = 0. A non-finite ||A v||^2 (a NaN or
+    inf in A, or an overflow) raises ValueError at once.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -153,6 +155,8 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     for k in range(1, _LMAX_MAX_ITER + 1):
         w = A @ v
         lam = float(w @ w)
+        if not math.isfinite(lam):
+            raise ValueError(f"||A v||^2 is not finite at power iteration {k}: {lam!r}")
         if lam == 0.0:
             # exact when A = 0; otherwise A annihilates (or underflows on) v,
             # and 0 is no estimate

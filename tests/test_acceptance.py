@@ -62,7 +62,7 @@ def table_l12():
         instances_per_cell=DESK_REPS,
         master_seed=0,
     )
-    return plan, run_benchmark(plan, jobs=1)
+    return plan, run_benchmark(plan)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def table_log():
         instances_per_cell=DESK_REPS,
         master_seed=0,
     )
-    return plan, run_benchmark(plan, jobs=1)
+    return plan, run_benchmark(plan)
 
 
 def test_criterion_1_descent_certificates():
@@ -305,7 +305,7 @@ def test_criterion_9_bitwise_reproducibility(table_l12):
     """Re-running the l1-l2 desk plan reproduces every non-timing output
     bit for bit."""
     plan, records = table_l12
-    again = run_benchmark(plan, jobs=1)
+    again = run_benchmark(plan)
     first, second = nontiming_fingerprint(records), nontiming_fingerprint(again)
     ok = first == second
     digest = hashlib.sha256(first.encode()).hexdigest()[:16]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import os
@@ -37,7 +36,7 @@ TINY_PLAN = BenchmarkPlan(
 
 @pytest.fixture(scope="module")
 def tiny_records():
-    return run_benchmark(TINY_PLAN, jobs=1)
+    return run_benchmark(TINY_PLAN)
 
 
 def record(solver, replicate=0, status="converged", iterations=10, fval=0.5, lambda_bound=None):
@@ -124,10 +123,30 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="lam"):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3, bad), reg_family="l1-l2")
 
-    @pytest.mark.parametrize("cell", [(10, 20, 30), (0, 20, 2), (10, 20, 0)])
+    @pytest.mark.parametrize("cell", [(10, 20, 30), (0, 20, 2), (10, 20, 0),
+                                      (6, 10, True), (6.0, 10, 2), (6, 10.5, 2)])
     def test_checks_every_cell(self, cell):
         with pytest.raises(ValueError, match="grid cell"):
             BenchmarkPlan(grid=((10, 20, 2), cell), lambdas=(1e-3,), reg_family="l1-l2")
+
+    @pytest.mark.parametrize("count", [True, 1.5, 2.0, -1])
+    def test_instances_must_be_a_count(self, count):
+        with pytest.raises(ValueError, match="instances_per_cell"):
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="l1-l2",
+                          instances_per_cell=count)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "0", None])
+    def test_master_seed_must_be_a_64_bit_integer(self, seed):
+        # -1 would alias 2**64 - 1 through the 64-bit mask of combine_seed
+        with pytest.raises(ValueError, match="master_seed"):
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="l1-l2",
+                          master_seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        plan = BenchmarkPlan(grid=[tuple(np.int64(v) for v in (10, 20, 2))], lambdas=(1e-3,),
+                             reg_family="l1-l2", instances_per_cell=np.int32(2),
+                             master_seed=np.uint64(2**64 - 1))
+        assert plan.master_seed == 2**64 - 1
 
     @pytest.mark.parametrize("repeat", [
         {"grid": [(10, 20, 2)] * 2},
@@ -188,7 +207,7 @@ class TestRunBenchmark:
 
     def test_instances_shared_across_lambdas(self):
         plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4), solvers=["pdca_e"])
-        records = run_benchmark(plan, jobs=1)
+        records = run_benchmark(plan)
         by_rep = {}
         for rec in records:
             by_rep.setdefault(rec.replicate, set()).add(rec.seed)
@@ -198,13 +217,9 @@ class TestRunBenchmark:
     def test_lambda_zero_recovers_interpolation(self):
         # with no penalty and m < n the residual can be driven to zero
         plan = dataclasses.replace(TINY_PLAN, lambdas=(0.0,), solvers=["pdca_e", "gist"])
-        records = run_benchmark(plan, jobs=1)
+        records = run_benchmark(plan)
         assert all(r.status == "converged" for r in records)
         assert all(r.fval < 1e-6 for r in records)
-
-    def test_parallel_matches_serial(self, tiny_records):
-        parallel = run_benchmark(TINY_PLAN, jobs=2)
-        assert nontiming_fingerprint(parallel) == nontiming_fingerprint(tiny_records)
 
     def test_fval_is_the_objective_at_the_final_iterate(self, monkeypatch):
         # the record takes F from the objective trace; it must be F(x_final)
@@ -219,7 +234,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench_mod, "solve", recording_solve)
         plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-3), reg_family="log",
                                    reg_params={"eps": 0.5})
-        records = run_benchmark(plan, jobs=1)
+        records = run_benchmark(plan)
         assert len(runs) == len(records) == 2 * 2 * 3
         for rec, (inst, spec, res) in zip(records, runs):
             assert type(rec.fval) is float
@@ -233,42 +248,24 @@ class TestRunBenchmark:
             return l12_lambda_bound(inst)
 
         monkeypatch.setattr(bench_mod, "l12_lambda_bound", counting_bound)
-        records = run_benchmark(dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4, 1e-4)), jobs=1)
+        records = run_benchmark(dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4, 1e-4)))
         assert sorted(calls) == sorted({r.seed for r in records})
 
-    def test_pool_has_no_more_workers_than_units(self, monkeypatch, tiny_records):
-        # a stand-in pool that runs in this process, so no worker is started
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        records = run_benchmark(TINY_PLAN, jobs=64)
-        assert sizes == [2]  # one cell, two replicates
-        assert nontiming_fingerprint(records) == nontiming_fingerprint(tiny_records)
-
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_benchmark(TINY_PLAN, jobs=0)
+    def test_records_come_in_plan_order(self):
+        # cell, then replicate, then lambda, then solver, each in the order the plan lists
+        plan = BenchmarkPlan(grid=[(20, 50, 3), (15, 40, 2)], lambdas=[5e-4, 1e-3],
+                             reg_family="l1-l2", solvers=["pdca", "gist"],
+                             instances_per_cell=2, master_seed=4)
+        records = run_benchmark(plan)
+        assert [(r.m, r.n, r.s, r.replicate, r.lam, r.solver) for r in records] == [
+            (*cell, rep, lam, solver) for cell in plan.grid for rep in range(2)
+            for lam in plan.lambdas for solver in plan.solvers]
 
     def test_unconverged_lmax_is_an_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(bench_mod, "lmax_gram",
                             lambda A: LmaxResult(1.0, False, 5))
         with pytest.raises(InvariantViolation, match="lmax"):
-            run_benchmark(TINY_PLAN, jobs=1)
+            run_benchmark(TINY_PLAN)
 
 
 class TestRendering:
@@ -324,11 +321,11 @@ class TestRendering:
 
 class TestFingerprint:
     def test_repeat_run_is_bit_identical(self, tiny_records):
-        again = run_benchmark(TINY_PLAN, jobs=1)
+        again = run_benchmark(TINY_PLAN)
         assert nontiming_fingerprint(again) == nontiming_fingerprint(tiny_records)
 
     def test_master_seed_changes_fingerprint(self, tiny_records):
-        other = run_benchmark(dataclasses.replace(TINY_PLAN, master_seed=5), jobs=1)
+        other = run_benchmark(dataclasses.replace(TINY_PLAN, master_seed=5))
         assert nontiming_fingerprint(other) != nontiming_fingerprint(tiny_records)
 
     def test_ignores_wall_clock(self, tiny_records):
@@ -382,5 +379,5 @@ def test_per_family_fingerprint_is_pinned(family, params, digest):
         pytest.skip(reason)
     plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg_family=family,
                          reg_params=params, instances_per_cell=2, master_seed=3)
-    text = nontiming_fingerprint(run_benchmark(plan, jobs=1))
+    text = nontiming_fingerprint(run_benchmark(plan))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -18,7 +19,7 @@ import pytest
 
 from dcopt.cli import main
 from dcopt.diagnostics import merit
-from dcopt.instances import load_instance, save_instance
+from dcopt.instances import generate_instance, load_instance, save_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import parse_reg
 from dcopt.solvers import SOLVERS, SolverConfig, solve
@@ -76,6 +77,15 @@ def dcopt_script(tmp_path_factory):
     )
     assert proc.returncode == 0, f"setup.py develop failed:\n{proc.stderr}"
     return str(bindir / "dcopt")
+
+
+def poisoned_instance(value, m=20, n=50, s=3):
+    """A generated instance with A[0, 0] = value, set after the constructor's checks."""
+    inst = generate_instance(m, n, s, seed=5)
+    A = inst.A.copy()
+    A[0, 0] = value
+    object.__setattr__(inst, "A", A)
+    return inst
 
 
 class TestGen:
@@ -171,6 +181,32 @@ class TestSolve:
             if solver == "pdca":
                 assert set(betas) == {"0.0"}
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_required_options_give_the_default_config(self, monkeypatch, instance_path, solver):
+        configs = []
+
+        def recording_solve(inst, spec, cfg):
+            configs.append(cfg)
+            return solve(inst, spec, cfg)
+
+        monkeypatch.setattr("dcopt.cli.solve", recording_solve)
+        rc, _, _ = run_cli("solve", "--instance", instance_path,
+                           "--reg", "l1-l2:lambda=1e-3", "--solver", solver)
+        assert rc == 0
+        [cfg] = configs
+        assert dataclasses.replace(cfg, L_override=None) == SolverConfig(algorithm=solver)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e200])
+    def test_non_finite_A_is_exit_2(self, monkeypatch, workdir, value):
+        # load would reject this A, so hand the instance to the command directly
+        monkeypatch.setattr("dcopt.cli.load_instance", lambda path: poisoned_instance(value))
+        with np.errstate(over="ignore"):
+            rc, out, err = run_cli("solve", "--instance", "poisoned.dcin",
+                                   "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ||A v||^2 is not finite at power iteration 1")
+
     def test_restart_and_adaptive_flags(self, instance_path):
         rc, out, _ = run_cli("solve", "--instance", instance_path,
                              "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e",
@@ -261,19 +297,22 @@ class TestBench:
         md_text = (workdir / "out.md").read_text()
         assert md_text.startswith("| n | m | s |")
 
-    def test_jobs_flag(self, workdir):
+    def test_jobs_flag_is_gone(self, workdir):
+        # a plan runs in one process; argparse rejects the old pool option
         (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
-        rc, _, _ = run_cli("bench", "--plan", "tiny.plan",
-                           "--out-csv", "out.csv", "--jobs", "2")
-        assert rc == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--plan", "tiny.plan", "--out-csv", "out.csv", "--jobs", "2")
+        assert exc.value.code == 2
+        assert not (workdir / "out.csv").exists()
 
-    def test_jobs_below_one_is_exit_2(self, workdir):
+    def test_non_finite_A_is_exit_2(self, monkeypatch, workdir):
+        monkeypatch.setattr("dcopt.bench.generate_instance",
+                            lambda m, n, s, **kw: poisoned_instance(float("nan"), m, n, s))
         (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
-        rc, out, err = run_cli("bench", "--plan", "tiny.plan", "--out-csv", "out.csv",
-                               "--jobs", "0")
+        rc, out, err = run_cli("bench", "--plan", "tiny.plan", "--out-csv", "out.csv")
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: jobs must be >= 1")
+        assert err.startswith("error: ||A v||^2 is not finite at power iteration 1")
         assert not (workdir / "out.csv").exists()
 
     def test_malformed_plan_is_exit_2(self, workdir):

@@ -226,6 +226,18 @@ class TestLmaxGram:
         with pytest.raises(ValueError, match="2-D"):
             lmax_gram(np.ones(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_product_raises_at_the_first_step(self, rng, value):
+        A = rng.standard_normal((30, 80))
+        A[7, 11] = value
+        # 1e200 overflows in w @ w, and numpy warns about it before the raise
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="iteration 1:"):
+            lmax_gram(A)
+
+    def test_overflowing_product_raises_at_the_first_step(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="iteration 1: inf"):
+            lmax_gram(np.full((30, 80), 1e200))
+
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=2**32))
     def test_oracle_agreement_property(self, m, n, seed):

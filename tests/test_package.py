@@ -49,7 +49,7 @@ def test_instances_imports_only_linalg_from_the_package():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only a parallel run_benchmark needs concurrent.futures.process
+    # a plan runs in one process; nothing in dcopt needs concurrent.futures.process
     code = "import sys, dcopt; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
