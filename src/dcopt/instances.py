@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,12 @@ _STREAM_NOISE = 3
 
 # Words of A drawn per gauss_vector call. Even, so every block but the last
 # consumes whole Box-Muller pairs and the blocks concatenate to the one-shot
-# draw of the counter-based stream.
+# draw of the counter-based stream, however they are split between workers.
 _BLOCK_WORDS = 1 << 14
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -47,7 +52,8 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
 
 
 def _is_seed(value) -> bool:
-    return isinstance(value, numbers.Integral) and 0 <= value < 1 << 64
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 1 << 64)
 
 
 def _check_seed_and_noise(seed: int, noise_scale: float) -> None:
@@ -128,10 +134,11 @@ def generate_instance(
 ) -> ProblemInstance:
     """Draw one seeded instance; identical (m, n, s, noise_scale, seed) reproduce it.
 
-    Order: sample A (stream 0) and normalize its columns, draw the support by
-    Fisher-Yates partial shuffle (stream 1), fill the ground truth on the
-    sorted support in ascending index order (stream 2), then form
-    b = A y + noise_scale * noise (stream 3).
+    Order: sample A (stream 0, in blocks drawn on every available CPU, with the
+    same bits for any CPU count) and normalize its columns, draw the support by
+    Fisher-Yates partial shuffle (stream 1), fill the ground truth on the sorted
+    support in ascending index order (stream 2), then b = A y + noise_scale * noise
+    (stream 3).
     """
     if m < 1 or n < 1 or s < 1:
         raise ValueError("m, n, s must be positive")
@@ -139,12 +146,25 @@ def generate_instance(
         raise ValueError(f"s={s} exceeds n={n}")
     _check_seed_and_noise(seed, noise_scale)
 
-    src_a = RandomSource(seed, _STREAM_A)
     A = np.empty((m, n))
     words = A.reshape(-1)
-    for i in range(0, m * n, _BLOCK_WORDS):
-        block = words[i : i + _BLOCK_WORDS]
-        block[:] = gauss_vector(src_a, block.size)
+
+    def fill(run: range) -> None:
+        src_a = RandomSource(seed, _STREAM_A)
+        src_a.counter = run.start  # word k of the stream depends on (seed, k) only
+        for i in run:
+            block = words[i : i + _BLOCK_WORDS]
+            block[:] = gauss_vector(src_a, block.size)
+
+    # contiguous runs of whole blocks, one per CPU; this thread fills the first
+    blocks = range(0, m * n, _BLOCK_WORDS)
+    k = min(_cpus(), len(blocks))
+    runs = [blocks[j * len(blocks) // k : (j + 1) * len(blocks) // k] for j in range(k)]
+    with ThreadPoolExecutor(k) as pool:  # joins every worker, also when fill raises
+        done = [pool.submit(fill, run) for run in runs[1:]]
+        fill(runs[0])
+    for future in done:
+        future.result()
     A /= _column_norms(A)  # an all-zero column turns NaN, which ProblemInstance rejects
 
     src_t = RandomSource(seed, _STREAM_SUPPORT)

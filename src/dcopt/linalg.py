@@ -57,7 +57,9 @@ class RandomSource:
     Identical (seed, stream_id) therefore reproduce the identical sequence on
     any platform; distinct stream_ids decorrelate through the finalizer. The
     counter advances monotonically, so a source must be owned by one logical
-    task at a time.
+    task at a time. Word k depends on (seed, stream_id, k) only, so a stream
+    can still be split: each worker of generate_instance owns its own source of
+    A's stream, with `counter` set to the first word of the worker's run.
     """
 
     seed: int
@@ -153,8 +155,9 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     lam = 0.0
     hits = 0
     for k in range(1, _LMAX_MAX_ITER + 1):
-        w = A @ v
-        lam = float(w @ w)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised as ValueError below
+            w = A @ v
+            lam = float(w @ w)
         if not math.isfinite(lam):
             raise ValueError(f"||A v||^2 is not finite at power iteration {k}: {lam!r}")
         if lam == 0.0:

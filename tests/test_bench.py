@@ -135,9 +135,10 @@ class TestPlanValidation:
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="l1-l2",
                           instances_per_cell=count)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "0", None])
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "0", None, True])
     def test_master_seed_must_be_a_64_bit_integer(self, seed):
-        # -1 would alias 2**64 - 1 through the 64-bit mask of combine_seed
+        # -1 would alias 2**64 - 1 through the 64-bit mask of combine_seed, and
+        # True ran as seed 1
         with pytest.raises(ValueError, match="master_seed"):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="l1-l2",
                           master_seed=seed)

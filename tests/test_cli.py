@@ -196,13 +196,13 @@ class TestSolve:
         [cfg] = configs
         assert dataclasses.replace(cfg, L_override=None) == SolverConfig(algorithm=solver)
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning may pre-empt the exit code
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e200])
     def test_non_finite_A_is_exit_2(self, monkeypatch, workdir, value):
         # load would reject this A, so hand the instance to the command directly
         monkeypatch.setattr("dcopt.cli.load_instance", lambda path: poisoned_instance(value))
-        with np.errstate(over="ignore"):
-            rc, out, err = run_cli("solve", "--instance", "poisoned.dcin",
-                                   "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e")
+        rc, out, err = run_cli("solve", "--instance", "poisoned.dcin",
+                               "--reg", "l1-l2:lambda=1e-3", "--solver", "pdca_e")
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ||A v||^2 is not finite at power iteration 1")

@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import types
 import warnings
 from pathlib import Path
@@ -163,6 +165,14 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="seed must be an integer in"):
             generate_instance(4, 6, 2, seed=5.0)
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_is_rejected(self, seed):
+        # bool is an Integral; True used to be stored as the seed and drawn as 1
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            generate_instance(4, 6, 2, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), seed, 0.0)
+
     def test_zero_column_is_rejected_not_redrawn(self, monkeypatch):
         real = instances.gauss_vector
 
@@ -176,6 +186,73 @@ class TestGenerateInstance:
         with np.errstate(invalid="ignore"):  # 0 / 0 in the normalization
             with pytest.raises(ValueError, match="A and b must be finite"):
                 generate_instance(4, 6, 2, seed=3)
+
+
+class TestParallelDraw:
+    """A's blocks are split into one contiguous run per CPU, drawn concurrently."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m, n, s", [(300, 501, 10), (2, 8193, 2), (1, 70001, 4),
+                                         (5, 30001, 3)])
+    def test_cpu_count_does_not_change_the_draw(self, monkeypatch, cpus, m, n, s):
+        monkeypatch.setattr(instances, "_cpus", lambda: cpus)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers finely
+        try:
+            inst = generate_instance(m, n, s, noise_scale=0.05, seed=11)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        ref = one_shot_instance(m, n, s, noise_scale=0.05, seed=11)
+        for got, want in zip((inst.A, inst.b, inst.ground_truth, inst.support), ref):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cpus, runs", [(1, 1), (3, 3), (5, 5), (64, 10)])
+    def test_each_run_is_whole_blocks_from_its_own_source(self, monkeypatch, cpus, runs):
+        # 300 x 501 is 10 blocks, the last one ragged: at most one run per block
+        real = instances.gauss_vector
+        calls = []
+
+        def record(src, length):
+            calls.append((src.counter, length, src))
+            return real(src, length)
+
+        monkeypatch.setattr(instances, "_cpus", lambda: cpus)
+        monkeypatch.setattr(instances, "gauss_vector", record)
+        generate_instance(300, 501, 10, seed=11)
+        block = instances._BLOCK_WORDS
+        drawn = sorted((c for c in calls if c[2].stream_id == 0), key=lambda c: c[0])
+        assert [(start, length) for start, length, _ in drawn] == [
+            (start, min(block, 300 * 501 - start)) for start in range(0, 300 * 501, block)]
+        sources = [id(src) for _, _, src in drawn]
+        # each source draws one contiguous run, and the runs differ by at most one block
+        assert sources == sorted(sources, key=sources.index)
+        sizes = [sources.count(i) for i in set(sources)]
+        assert len(sizes) == runs and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_failed_block_raises_after_every_worker_joined(self, monkeypatch, failing):
+        # 2 x 8193 is 2 blocks: the calling thread draws block 0, one worker block 1
+        real = instances.gauss_vector
+        bad = 0 if failing == "caller" else instances._BLOCK_WORDS
+        finished = []
+
+        def flaky(src, length):
+            start = src.counter
+            if start == bad:
+                raise RuntimeError(f"block at word {start} failed")
+            time.sleep(0.05)  # the other block is still running when the bad one fails
+            out = real(src, length)
+            finished.append(start)
+            return out
+
+        monkeypatch.setattr(instances, "_cpus", lambda: 2)
+        monkeypatch.setattr(instances, "gauss_vector", flaky)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block at word {bad} failed"):
+            generate_instance(2, 8193, 2, seed=11)
+        assert threading.active_count() == threads
+        assert finished == [instances._BLOCK_WORDS - bad]
 
 
 class TestProblemInstanceValidation:
@@ -434,8 +511,11 @@ def status_bytes(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
 op, arg = sys.argv[1:]
+if op == "generate-8cpus":  # as on an 8-CPU host: seven workers beside this thread
+    import os
+    os.sched_getaffinity = lambda pid: set(range(8))
 before = status_bytes("VmRSS:")
-if op == "generate":
+if op.startswith("generate"):
     inst = dcopt.generate_instance(*(int(p) for p in arg.split("x")), noise_scale=0.01, seed=4)
 else:
     inst = dcopt.load_instance(arg)
@@ -458,6 +538,10 @@ class TestPeakMemory:
 
     def test_generate_peaks_near_A(self):
         assert _peak_x_A("generate", "1024x4096x40") <= 1.5
+
+    def test_generate_on_8_cpus_peaks_near_A(self):
+        # each worker holds its own gauss_vector temporaries, 0.66 MB at their peak
+        assert _peak_x_A("generate-8cpus", "1024x4096x40") <= 1.5
 
     def test_load_peaks_near_A(self, tmp_path):
         path = tmp_path / "inst.dcin"
