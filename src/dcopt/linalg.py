@@ -8,6 +8,7 @@ documented Gaussian transform, and all arithmetic is plain float64.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 from dataclasses import dataclass, field
@@ -129,11 +130,62 @@ _LMAX_TOL = 1e-10  # relative change that counts as a hit; three in a row stop
 _LMAX_MAX_ITER = 10000
 
 
+def _bundled_blas():
+    # numpy's own OpenBLAS (scipy-openblas, 64-bit integers): dlsym on the handle of
+    # numpy's extension module finds the library it links; None on other builds
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        gemv, threads = lib.scipy_cblas_dgemv64_, lib.scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    gemv.argtypes = [ctypes.c_int, ctypes.c_int, i64, i64, f64, ptr, i64, ptr, i64, f64, ptr, i64]
+    gemv.restype = None
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return gemv, threads
+
+
+_BLAS = _bundled_blas()
+_PAIR_BLOCK_BYTES = 800 * 1024  # a row block of A stays in L2 between its two reads
+
+
+def _gemv_pair(A: np.ndarray, x: np.ndarray, resid=None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, A.T @ r) for w = A @ x and r[s] = resid(w[s], s) (r = w if resid is None).
+
+    One pass over A: per row block s, w[s] = A[s] @ x, then u += A[s].T @ r[s]
+    from L2 through numpy's own dgemv with beta = 1. OpenBLAS adds each 4-row
+    group's partial sum into u in row order, so this gives numpy's bits when
+    n % 4 == 0, blocks start at multiples of 8 (leftover rows join the last), A
+    is C-contiguous float64 and the BLAS pool has one thread (at more, each small
+    call wakes the pool and the pass is slower). Otherwise it is the two numpy
+    products, the reference the blocked path must equal. dgemv sets no warning.
+    """
+    m, n = A.shape
+    rows = max(8, _PAIR_BLOCK_BYTES // (64 * n) * 8)
+    if (_BLAS is None or n % 4 or m < 2 * rows or A.dtype != np.float64
+            or not A.flags.c_contiguous or _BLAS[1]() != 1):
+        w = A @ x
+        return w, A.T @ (w if resid is None else resid(w, slice(None)))
+    w, u = np.empty(m), np.zeros(n)
+    r = w if resid is None else np.empty(m)
+    pa, pr, pu = A.ctypes.data, r.ctypes.data, u.ctypes.data
+    for i in range(0, m - rows + 1, rows):
+        s = slice(i, m if i + 2 * rows > m else i + rows)
+        np.matmul(A[s], x, out=w[s])
+        if resid is not None:
+            r[s] = resid(w[s], s)
+        # CblasRowMajor, CblasTrans: u += A[s].T @ r[s]
+        _BLAS[0](101, 112, s.stop - i, n, 1.0, pa + 8 * n * i, n, pr + 8 * i, 1, 1.0, pu, 1)
+    return w, u
+
+
 def lmax_gram(A: np.ndarray) -> LmaxResult:
     """Largest eigenvalue of A.T @ A by power iteration.
 
-    Alternates A @ v and A.T @ w so A.T @ A is never formed. The estimate is the
-    Rayleigh quotient ||A v||^2 at the current unit vector v, hence never an
+    Each step takes A @ v and A.T @ (A @ v) in one pass over A (`_gemv_pair`),
+    so A.T @ A is never formed. The estimate is the Rayleigh quotient
+    ||A v||^2 at the current unit vector v, hence never an
     overestimate. Stops once the relative change stays below _LMAX_TOL for
     three consecutive iterations (change-based stopping alone can quit early
     when the spectral gap is tight). After _LMAX_MAX_ITER iterations the best
@@ -156,7 +208,7 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     hits = 0
     for k in range(1, _LMAX_MAX_ITER + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # raised as ValueError below
-            w = A @ v
+            w, u = _gemv_pair(A, v)
             lam = float(w @ w)
         if not math.isfinite(lam):
             raise ValueError(f"||A v||^2 is not finite at power iteration {k}: {lam!r}")
@@ -164,7 +216,6 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
             # exact when A = 0; otherwise A annihilates (or underflows on) v,
             # and 0 is no estimate
             return LmaxResult(0.0, not A.any(), k)
-        u = A.T @ w
         v = u / np.linalg.norm(u)
         if abs(lam - lam_prev) <= _LMAX_TOL * lam:
             hits += 1

@@ -2,12 +2,12 @@
 
 All three run in one loop that starts from the origin, caches A x^t and
 A x^{t-1}, and stops when ||x^t - x^{t-1}|| / max(1, ||x^t||) < tol; only
-the candidate step depends on the algorithm. The pdca family performs one
-matvec and one transposed matvec per iteration: the extrapolated product
-A y^t is the affine combination of the cached A x^t and A x^{t-1}, and the
-fresh product A x^{t+1} feeds both the next iteration and the objective
-trace, so tracing adds no matvecs. gist performs one transposed matvec per
-iteration and one matvec per backtracking trial.
+the candidate step depends on the algorithm. The pdca family makes one pass
+over A per iteration: once x^{t+1} and beta_{t+1} are known, `_gemv_pair`
+gives A x^{t+1}, which feeds the objective trace, and the next gradient
+A.T (A y^{t+1} - b), where A y^{t+1} is the affine combination of A x^{t+1}
+and the cached A x^t; so tracing adds no matvecs. gist performs one
+transposed matvec per iteration and one matvec per backtracking trial.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import ProblemInstance
-from .linalg import lmax_gram
+from .linalg import _gemv_pair, lmax_gram
 from .regularizers import RegularizerSpec, full_prox, p1_prox, p2_subgrad, reg_value
 
 log = logging.getLogger(__name__)
@@ -151,13 +151,24 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     the iteration loop only (L is resolved beforehand).
     """
     gist = cfg.algorithm == "gist"
+    pdca_e = cfg.algorithm == "pdca_e"
     L = None if gist else _resolve_L(inst, cfg)
 
     A, b = inst.A, inst.b
-    x = x_prev = y = np.zeros(inst.n)
+    x = x_prev = np.zeros(inst.n)
     Ax = Ax_prev = np.zeros(inst.m)
     state = ExtrapolationState()
     L0 = _GIST_L0_FIRST
+    beta = 0.0
+    if not gist:
+        if pdca_e:  # beta_0 = 0; the trigger is off at the origin
+            beta, state = next_beta(state, cfg.restart_period, False)
+        grad_y = A.T @ (Ax - b)  # y^0 = x^0 = 0
+        Ay = np.empty(inst.m)
+
+        def residual(w, s):  # runs while beta is beta_{t+1} and Ax is A x^t
+            Ay[s] = w + beta * (w - Ax[s])
+            return Ay[s] - b[s]
 
     F0 = 0.5 * float(b @ b)  # F(0): every penalty vanishes at the origin
     obj = [F0]
@@ -193,18 +204,15 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
             else:
                 message = f"backtracking exceeded 100 trials at t={t}"
         else:
-            beta = 0.0
-            if cfg.algorithm == "pdca_e":
-                # y still holds y^{t-1}; at t = 0 it is the origin and the trigger is off
-                trigger = cfg.adaptive_restart and float((y - x) @ (x - x_prev)) > 0.0
-                beta, state = next_beta(state, cfg.restart_period, trigger)
             y = x + beta * (x - x_prev)
-            Ay = Ax + beta * (Ax - Ax_prev)
-            grad_y = A.T @ (Ay - b)
             xi = p2_subgrad(spec, x)
             x_new = p1_prox(spec, y - (grad_y - xi) / L, 1.0 / L)
             if np.all(np.isfinite(x_new)):
-                Ax_new = A @ x_new
+                betas.append(beta)
+                if pdca_e:
+                    trigger = cfg.adaptive_restart and float((y - x_new) @ (x_new - x)) > 0.0
+                    beta, state = next_beta(state, cfg.restart_period, trigger)
+                Ax_new, grad_y = _gemv_pair(A, x_new, residual)
                 F = _objective(spec, Ax_new, b, x_new)
             else:
                 message = f"non-finite iterate at t={t}"
@@ -215,8 +223,6 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
         step = float(np.linalg.norm(x_new - x))
         obj.append(F)
         steps.append(step)
-        if not gist:
-            betas.append(beta)
 
         x_prev, x = x, x_new
         Ax_prev, Ax = Ax, Ax_new

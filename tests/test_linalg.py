@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +254,66 @@ class TestLmaxGram:
         ref = jacobi_lmax(A)
         assert est.converged
         assert abs(est.value - ref) <= 1e-8 * max(ref, 1e-300)
+
+
+# Runs under OPENBLAS_NUM_THREADS=1 and -W error. Every C-ordered case whose
+# shape meets the blocked pass's rules must go through numpy's own dgemv
+# (counted), so on a numpy without its bundled OpenBLAS this fails, not skips.
+_PAIR_CHECK = textwrap.dedent("""
+    import numpy as np
+    from dcopt import linalg
+
+    gemv, threads = linalg._BLAS
+    assert threads() == 1
+    default = linalg._PAIR_BLOCK_BYTES
+    blocks = []
+    linalg._BLAS = (lambda *args: (blocks.append(args[2]), gemv(*args))[1], threads)
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(7)
+    blocked = 0
+    for n in (1, 2, 4, 8, 12, 33, 100, 999, 2560, 2561, 2564):
+        B = rng.standard_normal((2161, n + 2))
+        for m in [*range(1, 98), 719, 720, 721, 722, 723, 2159, 2160, 2161]:
+            C = np.ascontiguousarray(B[:m, 1:n + 1])
+            x, c = rng.standard_normal(n), rng.standard_normal(m)
+            # 8-row, 24-row and default blocks; an F-ordered copy; a strided view
+            cases = [(C, 1), (C, 64 * 24 * n), (C, default),
+                     (np.asfortranarray(C), 1), (B[:m, 1:n + 1], 1)]
+            for A, budget in cases:
+                rows = max(8, budget // (64 * n) * 8)
+                runs = A is C and n % 4 == 0 and m >= 2 * rows
+                w0 = A @ x
+                for resid, u0 in ((None, A.T @ w0),
+                                  (lambda w, s: 0.5 * w - c[s], A.T @ (0.5 * w0 - c))):
+                    blocks.clear()
+                    linalg._PAIR_BLOCK_BYTES = budget
+                    w, u = linalg._gemv_pair(A, x, resid)
+                    assert same(w, w0) and same(u, u0), (m, n, budget, A.flags)
+                    assert blocks == ([rows] * (m // rows - 1) + [m - rows * (m // rows - 1)]
+                                      if runs else []), (m, n, budget, blocks)
+                    blocked += runs
+    assert blocked > 1000, blocked
+
+    linalg._PAIR_BLOCK_BYTES = default
+    blocks.clear()
+    try:
+        linalg.lmax_gram(np.full((720, 2560), 1e200))
+    except ValueError as exc:
+        assert "iteration 1: inf" in str(exc), exc
+    else:
+        raise AssertionError("no ValueError")
+    assert blocks, "the overflowing matrix did not take the blocked pass"
+    print("ok", blocked)
+""")
+
+
+def test_gemv_pair_gives_numpy_bits_at_one_blas_thread():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _PAIR_CHECK],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ok")

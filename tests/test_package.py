@@ -54,3 +54,12 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_unloaded():
+    # the gemv pair reaches numpy's own BLAS through ctypes; scipy.linalg.blas
+    # would double the resident set of a fresh process
+    code = "import sys, dcopt; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dcopt import replicate_seed
 from dcopt import solvers as solvers_module
 from dcopt.diagnostics import check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance, generate_instance
+from dcopt.linalg import lmax_gram
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
 from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, objective, solve
 from oracles import grid_min_1d, merit_loop
@@ -334,3 +340,28 @@ class TestSolversAgree:
             vals.append(objective(small_instance, spec, res.x_final))
         spread = (max(vals) - min(vals)) / max(1e-12, abs(min(vals)))
         assert spread <= 5e-2
+
+
+def desk_results() -> str:
+    """Desk replicate 0: L, then l1-l2 pdca_e to convergence and 300 pdca steps."""
+    inst = generate_instance(720, 2560, 80, seed=replicate_seed(0, 720, 2560, 80, 0))
+    est = lmax_gram(inst.A)
+    out = [repr(est)]
+    for algorithm, cap in (("pdca_e", 5000), ("pdca", 300)):
+        res = solve(inst, L1MinusL2(5e-4),
+                    SolverConfig(algorithm=algorithm, max_iter=cap, L_override=est.value))
+        out.append(f"{algorithm} {res.iterations} {res.status} {res.objective_trace[-1]!r}")
+    return "\n".join(out)
+
+
+def test_desk_results_at_one_blas_thread_match_the_default():
+    # one BLAS thread takes the blocked gemv pair; this process may not
+    tests = Path(__file__).resolve().parent
+    code = ("from dcopt import linalg; from test_solvers import desk_results; "
+            "assert linalg._BLAS[1]() == 1; print(desk_results())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == desk_results()
