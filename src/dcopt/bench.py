@@ -14,10 +14,10 @@ import time
 from dataclasses import dataclass, field
 
 from .diagnostics import check_descent, stationarity_residual
-from .instances import _is_seed, generate_instance, l12_lambda_bound
-from .linalg import combine_seed, lmax_gram
+from .instances import generate_instance, l12_lambda_bound
+from .linalg import _is_count, _is_seed, combine_seed, lmax_gram
 from .regularizers import make_spec, parse_reg_family
-from .solvers import SOLVERS, SolverConfig, _is_count, solve
+from .solvers import SOLVERS, SolverConfig, solve
 
 
 class InvariantViolation(RuntimeError):
@@ -179,6 +179,8 @@ def cell_rows(records: list[RunRecord]) -> list[CellRow]:
 
 def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> int:
     """Stable instance seed; independent of the weight by construction."""
+    if not _is_seed(master_seed):
+        raise ValueError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
     return combine_seed(master_seed, m, n, s, replicate)
 
 
@@ -246,22 +248,20 @@ def run_benchmark(plan: BenchmarkPlan) -> list[RunRecord]:
             for rec in _run_cell_replicate(plan, cell, rep)]
 
 
-_CSV_HEADER = ",".join(["n", "m", "s", "t_lmax"] + [
-    f"{col}_{name.replace('_', '')}" for col in ("iter", "cpu", "fval") for name in SOLVERS])
+# after n, m, s, t_lmax: one column per (prefix, solver), blank where a solver did not run
+_COLUMNS = (
+    ("iter", lambda st: "max" if st.cap_fraction == 1.0 else f"{st.iter_mean:.0f}"),
+    ("cpu", lambda st: f"{st.cpu_mean:.3f}"),
+    ("fval", lambda st: f"{st.fval_mean:.4e}"),
+)
+_HEADER = ["n", "m", "s", "t_lmax"] + [
+    f"{col}_{name.replace('_', '')}" for col, _ in _COLUMNS for name in SOLVERS]
 
 
 def _row_cells(row: CellRow) -> list[str]:
-    def fmt_iter(st: CellStats) -> str:
-        return "max" if st.cap_fraction == 1.0 else f"{st.iter_mean:.0f}"
-
-    cells = [str(row.n), str(row.m), str(row.s), f"{row.t_lmax_mean:.3f}"]
-    for name in SOLVERS:
-        cells.append(fmt_iter(row.stats[name]) if name in row.stats else "")
-    for name in SOLVERS:
-        cells.append(f"{row.stats[name].cpu_mean:.3f}" if name in row.stats else "")
-    for name in SOLVERS:
-        cells.append(f"{row.stats[name].fval_mean:.4e}" if name in row.stats else "")
-    return cells
+    return [str(row.n), str(row.m), str(row.s), f"{row.t_lmax_mean:.3f}"] + [
+        cell(row.stats[name]) if name in row.stats else ""
+        for _, cell in _COLUMNS for name in SOLVERS]
 
 
 def render_table(records: list[RunRecord], fmt: str = "csv") -> str:
@@ -270,12 +270,11 @@ def render_table(records: list[RunRecord], fmt: str = "csv") -> str:
     if not rows:
         raise ValueError("cannot render an empty table")
     if fmt == "csv":
-        lines = [_CSV_HEADER]
+        lines = [",".join(_HEADER)]
         lines.extend(",".join(_row_cells(row)) for row in rows)
         return "\n".join(lines)
     if fmt == "markdown":
-        header = _CSV_HEADER.split(",")
-        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines = ["| " + " | ".join(_HEADER) + " |", "|" + "---|" * len(_HEADER)]
         lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in rows)
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")

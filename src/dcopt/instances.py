@@ -10,7 +10,6 @@ seed so changing s cannot perturb A for the same seed.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomSource, gauss_vector
+from .linalg import RandomSource, _is_count, _is_seed, gauss_vector
 
 _STREAM_A = 0
 _STREAM_SUPPORT = 1
@@ -49,11 +48,6 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     for row in A:
         sq += row * row
     return np.sqrt(sq)
-
-
-def _is_seed(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and 0 <= value < 1 << 64)
 
 
 def _check_seed_and_noise(seed: int, noise_scale: float) -> None:
@@ -140,10 +134,8 @@ def generate_instance(
     support in ascending index order (stream 2), then b = A y + noise_scale * noise
     (stream 3).
     """
-    if m < 1 or n < 1 or s < 1:
-        raise ValueError("m, n, s must be positive")
-    if s > n:
-        raise ValueError(f"s={s} exceeds n={n}")
+    if not (all(map(_is_count, (m, n, s))) and s <= n):
+        raise ValueError(f"need integers m, n, s >= 1 and s <= n, got ({m}, {n}, {s})")
     _check_seed_and_noise(seed, noise_scale)
 
     A = np.empty((m, n))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,6 +50,17 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _is_seed(value) -> bool:
+    # bool is an Integral, but True would silently mean seed 1
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 1 << 64)
+
+
+def _is_count(value) -> bool:
+    # bool is an Integral, but True would silently mean a count of 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class RandomSource:
     """Counter-based splitmix64 stream.
@@ -69,8 +81,9 @@ class RandomSource:
     counter: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
+        for name in ("seed", "stream_id"):
+            if not _is_seed(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
         base = mix64(self.seed)
         self.state = mix64(base ^ mix64((operator.index(self.stream_id) + 1) * _GAMMA))
 
@@ -190,9 +203,9 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     three consecutive iterations (change-based stopping alone can quit early
     when the spectral gap is tight). After _LMAX_MAX_ITER iterations the best
     estimate is returned with converged=False; reporting that is the caller's
-    job (solve logs it, the CLI prints it, bench raises). If A v = 0, the value
-    is 0, reported converged only when A = 0. A non-finite ||A v||^2 (a NaN or
-    inf in A, or an overflow) raises ValueError at once.
+    job (the CLI prints it, bench raises). If A v = 0, the value is 0,
+    reported converged only when A = 0. A non-finite ||A v||^2 (a NaN or inf
+    in A, or an overflow) raises ValueError at once.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:

@@ -12,19 +12,15 @@ transposed matvec per iteration and one matvec per backtracking trial.
 
 from __future__ import annotations
 
-import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import ProblemInstance
-from .linalg import _gemv_pair, lmax_gram
+from .linalg import _gemv_pair, _is_count
 from .regularizers import RegularizerSpec, full_prox, p1_prox, p2_subgrad, reg_value
-
-log = logging.getLogger(__name__)
 
 SOLVERS = ("gist", "pdca_e", "pdca")
 
@@ -38,11 +34,6 @@ _GIST_L_MAX = 1e8
 _GIST_L0_FIRST = 1.0
 
 
-def _is_count(value) -> bool:
-    # bool is an Integral, but True would silently mean a count of 1
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str
@@ -50,7 +41,7 @@ class SolverConfig:
     max_iter: int = 5000
     restart_period: int | None = 200
     adaptive_restart: bool = True  # pdca_e only, like restart_period
-    L_override: float | None = None  # pdca_e/pdca step constant; gist ignores it
+    L_override: float | None = None  # pdca_e/pdca step constant (required); gist ignores it
 
     def __post_init__(self):
         if self.algorithm not in SOLVERS:
@@ -111,15 +102,6 @@ class SolveResult:
         return len(self.step_norm_trace)
 
 
-def _resolve_L(inst: ProblemInstance, cfg: SolverConfig) -> float:
-    if cfg.L_override is not None:
-        return cfg.L_override
-    est = lmax_gram(inst.A)
-    if not est.converged:
-        log.warning("solve: lmax_gram did not converge; using best estimate %.6e", est.value)
-    return est.value
-
-
 def _objective(spec: RegularizerSpec, Ax: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     """F(x) = 0.5 ||Ax - b||^2 + P1(x) - P2(x) from the cached product Ax."""
     r = Ax - b
@@ -147,12 +129,15 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     the last _GIST_M iterates. More than 100 backtracks aborts: that only
     happens if full_prox returns a non-minimizer.
 
-    A non-finite pdca iterate or gist prox input aborts. wall_seconds covers
-    the iteration loop only (L is resolved beforehand).
+    pdca_e/pdca without cfg.L_override raise ValueError before touching A. A
+    non-finite pdca iterate or gist prox input aborts. wall_seconds covers the
+    iteration loop only.
     """
     gist = cfg.algorithm == "gist"
     pdca_e = cfg.algorithm == "pdca_e"
-    L = None if gist else _resolve_L(inst, cfg)
+    L = cfg.L_override
+    if L is None and not gist:
+        raise ValueError(f"{cfg.algorithm} needs L_override, e.g. lmax_gram(inst.A).value")
 
     A, b = inst.A, inst.b
     x = x_prev = np.zeros(inst.n)

@@ -97,7 +97,7 @@ def test_criterion_1_descent_certificates():
             L = lmax_gram(inst.A).value
             for spec in specs:
                 for algorithm in ("pdca_e", "pdca"):
-                    res = solve(inst, spec, SolverConfig(algorithm=algorithm))
+                    res = solve(inst, spec, SolverConfig(algorithm=algorithm, L_override=L))
                     report = check_descent(res, L)
                     runs += 1
                     violations += report.violations

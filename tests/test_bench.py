@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,8 +181,9 @@ class TestReplicateSeed:
         want = replicate_seed(1, 720, 2560, 80, 0)
         assert replicate_seed(np.int64(1), 720, 2560, 80, 0) == want
         assert replicate_seed(np.int32(1), np.int64(720), 2560, 80, np.uint64(0)) == want
-        with pytest.raises(TypeError):
-            replicate_seed(1.0, 720, 2560, 80, 0)
+        for seed in (1.0, -1, 2**64, True):
+            with pytest.raises(ValueError, match="seed must be an integer in"):
+                replicate_seed(seed, 720, 2560, 80, 0)
 
 
 class TestRunRecord:
@@ -382,3 +387,51 @@ def test_per_family_fingerprint_is_pinned(family, params, digest):
                          reg_params=params, instances_per_cell=2, master_seed=3)
     text = nontiming_fingerprint(run_benchmark(plan))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _simd_found() -> list[str]:
+    return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+
+
+def feature_runs() -> dict:
+    """numpy's SIMD features, and (family, solver, replicate, lam, iterations,
+    status, F) for every run of a small plan per family."""
+    runs = []
+    for family, params in (("l1-l2", {}), ("log", {"eps": 0.5}), ("mcp", {"theta": 2.5}),
+                           ("scad", {"theta": 3.7}), ("tl1", {"a": 1.0})):
+        plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg_family=family,
+                             reg_params=params, instances_per_cell=2, master_seed=3)
+        runs += [[family, r.solver, r.replicate, r.lam, r.iterations, r.status, r.fval]
+                 for r in run_benchmark(plan)]
+    return {"found": _simd_found(), "runs": runs}
+
+
+def test_pdca_family_counts_hold_across_cpu_features():
+    # numpy's SIMD kernels move the last bits of the instances, but pdca_e and
+    # pdca must still take the same steps; gist's backtracking may not
+    found = _simd_found()
+    above = found[found.index("X86_V3") + 1:] if "X86_V3" in found else []
+    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+        pytest.skip("NPY_DISABLE_CPU_FEATURES is already set")
+    if not above:
+        pytest.skip(f"numpy finds no SIMD features above X86_V3 (found {found})")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(above),
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    code = "import json; from test_bench import feature_runs; print(json.dumps(feature_runs()))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    there = json.loads(out.stdout)
+    assert not set(above) & set(there["found"])
+    here = feature_runs()["runs"]
+    assert [run[:4] for run in there["runs"]] == [run[:4] for run in here]
+    gist_spread = 0
+    for run, other in zip(here, there["runs"]):
+        (iters, status, F), (iters_other, status_other, F_other) = run[4:], other[4:]
+        assert status == status_other, run
+        if run[1] == "gist":
+            gist_spread = max(gist_spread, abs(iters - iters_other))
+        else:
+            assert iters == iters_other and abs(F - F_other) <= 1e-12 * abs(F), (run, other)
+    print(f"gist iteration counts moved by up to {gist_spread} without {' '.join(above)}")

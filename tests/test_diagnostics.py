@@ -87,7 +87,8 @@ class TestCheckDescent:
 
     def test_matches_loop_on_aborted_and_non_finite_traces(self, run, overflow_instance):
         with np.errstate(over="ignore", invalid="ignore"):
-            aborted = solve(overflow_instance, L1MinusL2(1e-3), SolverConfig(algorithm="pdca"))
+            aborted = solve(overflow_instance, L1MinusL2(1e-3),
+                            SolverConfig(algorithm="pdca", L_override=1.0))
         assert aborted.iterations == 0
         assert check_descent(aborted, 1.0) == DescentReport(0, 0.0)
         assert descent_audit_loop(aborted, 1.0) == (0, 0.0)

@@ -133,6 +133,9 @@ class TestGenerateInstance:
             dict(m=5, n=10, s=0),
             dict(m=5, n=10, s=11),
             dict(m=5, n=10, s=1, noise_scale=-0.1),
+            dict(m=6, n=10, s=True),
+            dict(m=6.0, n=10, s=2),
+            dict(m=6, n=10.5, s=2),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):

@@ -129,8 +129,12 @@ class TestRandomSource:
         assert combine_seed(seed, np.int64(-1)) == combine_seed(5, -1)
 
     def test_float_seed_is_rejected(self):
-        with pytest.raises(TypeError):
-            RandomSource(5.0, 0)
+        # -1 and 2**64 would alias seeds 2**64 - 1 and 0, and True seed 1
+        for seed in (5.0, -1, 2**64, True):
+            with pytest.raises(ValueError, match="seed must be an integer in"):
+                RandomSource(seed, 0)
+            with pytest.raises(ValueError, match="stream_id must be an integer in"):
+                RandomSource(0, seed)
 
 
 class TestGaussVector:

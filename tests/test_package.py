@@ -48,6 +48,19 @@ def test_instances_imports_only_linalg_from_the_package():
     assert package == ["from .linalg"]
 
 
+def test_solvers_take_L_from_the_caller():
+    # L has one owner, the caller; a private lmax_gram path in the solver layer
+    # would recompute it and need its own report of an unconverged estimate
+    tree = ast.parse((ROOT / "src" / "dcopt" / "solvers.py").read_text())
+    from_linalg = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+                   for alias in node.names]
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    assert sorted(from_linalg) == ["_gemv_pair", "_is_count"]
+    assert "logging" not in modules
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # a plan runs in one process; nothing in dcopt needs concurrent.futures.process
     code = "import sys, dcopt; print('concurrent.futures.process' in sys.modules)"

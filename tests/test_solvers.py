@@ -224,9 +224,11 @@ class TestSolveResultContract:
 
     @pytest.mark.parametrize("algorithm", SOLVERS)
     def test_aborts_on_non_finite_iterate(self, algorithm, overflow_instance):
-        # grad f(0) = -A.T b overflows to -inf, so the first prox input is infinite
+        # grad f(0) = -A.T b overflows to -inf, so the first prox input is infinite;
+        # A = 0.5 * ones((4, 1)) has lambda_max(A.T A) = 1 exactly
         with np.errstate(over="ignore", invalid="ignore"):
-            res = solve(overflow_instance, L1MinusL2(1e-3), SolverConfig(algorithm=algorithm))
+            res = solve(overflow_instance, L1MinusL2(1e-3),
+                        SolverConfig(algorithm=algorithm, L_override=1.0))
         assert res.status == "aborted"
         assert res.message == "non-finite iterate at t=0"
         assert res.iterations == 0
@@ -240,13 +242,6 @@ class TestSolveResultContract:
             res = solve(small_instance, spec,
                         SolverConfig(algorithm=algorithm, L_override=small_L))
             assert objective(small_instance, spec, res.x_final) == res.objective_trace[-1], algorithm
-
-    def test_unconverged_L_warns_once(self, monkeypatch, caplog, small_instance):
-        monkeypatch.setattr("dcopt.linalg._LMAX_MAX_ITER", 3)
-        with caplog.at_level("WARNING"):
-            solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm="pdca", max_iter=2))
-        assert [r.name for r in caplog.records] == ["dcopt.solvers"]
-        assert "lmax_gram did not converge" in caplog.records[0].getMessage()
 
     def test_abort_on_absurd_curvature(self, small_instance):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -262,11 +257,20 @@ class TestSolveResultContract:
                     SolverConfig(algorithm="pdca_e", L_override=small_L))
         assert res.wall_seconds > 0.0
 
-    def test_resolves_L_when_not_overridden(self, small_instance, small_L):
-        spec = L1MinusL2(1e-3)
-        auto = solve(small_instance, spec, SolverConfig(algorithm="pdca_e"))
-        manual = solve(small_instance, spec, SolverConfig(algorithm="pdca_e", L_override=small_L))
-        assert np.array_equal(auto.x_final, manual.x_final)
+    @pytest.mark.parametrize("algorithm", SOLVERS)
+    def test_pdca_family_needs_L_and_gist_ignores_it(self, algorithm, monkeypatch,
+                                                     small_instance):
+        # L has one owner, the caller: solve never estimates it on its own
+        def no_pass(*args, **kwargs):
+            raise AssertionError("A was read before L_override was checked")
+        monkeypatch.setattr("dcopt.solvers._gemv_pair", no_pass)
+        monkeypatch.setattr("dcopt.linalg._gemv_pair", no_pass)
+        cfg = SolverConfig(algorithm=algorithm, max_iter=3)
+        if algorithm == "gist":
+            assert solve(small_instance, L1MinusL2(1e-3), cfg).iterations == 3
+        else:
+            with pytest.raises(ValueError, match=r"L_override.*lmax_gram\(inst\.A\)\.value"):
+                solve(small_instance, L1MinusL2(1e-3), cfg)
 
 
 class TestRegularizerCalls:
