@@ -1,11 +1,12 @@
 """Benchmark plans, the instance-grid runner, and table rendering.
 
-A plan names a grid of (m, n, s) cells, a regularizer family with fixed
-parameters, a list of weights, solvers, and a replicate count. Instances are
-seeded by a stable hash of (master_seed, m, n, s, replicate), so they are
-shared across weights within a cell and adding a weight never reshuffles
-them. Every run with a beta trace (pdca_e, pdca) is audited against the
-descent inequality, and every l1-l2 run is checked for weight admissibility.
+A plan names a grid of (m, n, s) cells, a regularizer without its weight
+(such as 'log:eps=0.5'), a list of weights, solvers, and a replicate count.
+Instances are seeded by a stable hash of (master_seed, m, n, s, replicate),
+so they are shared across weights within a cell and adding a weight never
+reshuffles them. Every run with a beta trace (pdca_e, pdca) is audited
+against the descent inequality, and every l1-l2 run is checked for weight
+admissibility.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from .diagnostics import check_descent, stationarity_residual
 from .instances import generate_instance, l12_lambda_bound
 from .linalg import _is_count, _is_seed, combine_seed, lmax_gram
-from .regularizers import make_spec, parse_reg_family
+from .regularizers import parse_reg
 from .solvers import SOLVERS, SolverConfig, solve
 
 
@@ -28,8 +29,7 @@ class InvariantViolation(RuntimeError):
 class BenchmarkPlan:
     grid: list[tuple[int, int, int]]
     lambdas: list[float]
-    reg_family: str
-    reg_params: dict[str, float] = field(default_factory=dict)
+    reg: str
     solvers: list[str] = field(default_factory=lambda: list(SOLVERS))
     instances_per_cell: int = 30
     master_seed: int = 0
@@ -56,9 +56,9 @@ class BenchmarkPlan:
                               ("lambda", self.lambdas), ("solver", self.solvers)):
             if len(set(entries)) < len(entries):
                 raise ValueError(f"plan repeats a {what}")
-        # fail fast on a malformed family/params combination or a bad weight
+        # fail fast on a malformed reg or a bad weight
         for lam in self.lambdas:
-            make_spec(self.reg_family, **{"lambda": lam, **self.reg_params})
+            parse_reg(self.reg, lam)
 
 
 _PLAN_KEYS = ("grid", "lambdas", "reg", "solvers", "instances", "seed")
@@ -93,16 +93,12 @@ def parse_plan(text: str) -> BenchmarkPlan:
         grid.append(tuple(int(p) for p in parts))
 
     lambdas = [float(tok) for tok in kv["lambdas"].replace(",", " ").split()]
-    family, params = parse_reg_family(kv["reg"])
-    if "lambda" in params:
-        raise ValueError("plan reg must not fix lambda; use the lambdas key")
     solvers = kv["solvers"].replace(",", " ").split()
 
     return BenchmarkPlan(
         grid=grid,
         lambdas=lambdas,
-        reg_family=family,
-        reg_params=params,
+        reg=kv["reg"],
         solvers=solvers,
         instances_per_cell=int(kv["instances"]),
         master_seed=int(kv["seed"]),
@@ -197,11 +193,11 @@ def _run_cell_replicate(
     if not est.converged:
         raise InvariantViolation(f"lmax_gram failed to converge on cell {cell} rep {replicate}")
     L = est.value
-    bound = l12_lambda_bound(inst) if plan.reg_family == "l1-l2" else None
+    specs = [parse_reg(plan.reg, lam) for lam in plan.lambdas]
+    bound = l12_lambda_bound(inst) if specs[0].name == "l1-l2" else None
 
     records: list[RunRecord] = []
-    for lam in plan.lambdas:
-        spec = make_spec(plan.reg_family, **{"lambda": lam, **plan.reg_params})
+    for lam, spec in zip(plan.lambdas, specs):
         for solver_name in plan.solvers:
             cfg = SolverConfig(algorithm=solver_name, L_override=L)
             res = solve(inst, spec, cfg)

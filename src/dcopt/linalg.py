@@ -56,9 +56,9 @@ def _is_seed(value) -> bool:
             and 0 <= value < 1 << 64)
 
 
-def _is_count(value) -> bool:
+def _is_count(value, least: int = 1) -> bool:
     # bool is an Integral, but True would silently mean a count of 1
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
@@ -89,8 +89,8 @@ class RandomSource:
 
     def raw(self, count: int) -> np.ndarray:
         """Next `count` raw 64-bit words as a uint64 array."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        if not _is_count(count, 0):
+            raise ValueError(f"count must be a non-negative integer, got {count!r}")
         start = self.counter
         self.counter += count
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -99,8 +99,8 @@ class RandomSource:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection; exact, no modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not _is_count(bound):
+            raise ValueError(f"bound must be a positive integer, got {bound!r}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = int(self.raw(1)[0])
@@ -116,8 +116,8 @@ def gauss_vector(src: RandomSource, length: int) -> np.ndarray:
     then (r cos a, r sin a) with r = sqrt(-2 log u1), a = 2 pi u2. Odd lengths
     still consume a full final pair.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    if not _is_count(length):
+        raise ValueError(f"length must be an integer >= 1, got {length!r}")
     npairs = (length + 1) // 2
     bits = src.raw(2 * npairs)
     u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53

@@ -250,8 +250,8 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 
 def p1_prox(spec: RegularizerSpec, z: np.ndarray, mu: float) -> np.ndarray:
     """argmin_u 0.5 ||u-z||^2 + mu * P1(u); soft threshold at mu * w."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     z = np.asarray(z, dtype=np.float64)
     return soft_threshold(z, mu * spec.weight)
 
@@ -309,8 +309,8 @@ def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
     keep the best; l1-l2 uses its coupled vector solution. Exactness is
     guarded by the grid-oracle tests, not re-derived here.
     """
-    if L_t <= 0:
-        raise ValueError("L_t must be positive")
+    if not 0 < L_t < math.inf:
+        raise ValueError("L_t must be positive and finite")
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
@@ -329,20 +329,20 @@ _FAMILIES: dict[str, type[RegularizerSpec]] = {
 }
 
 
-def _family(family: str) -> tuple[type[RegularizerSpec], tuple[str, ...]]:
-    """The class of a family and its CLI parameter names: the fields, lam spelled lambda."""
+def parse_reg(text: str, lam: float | None = None) -> RegularizerSpec:
+    """Build a spec from 'family:key=value,...', e.g. 'log:lambda=1e-3,eps=0.5'.
+
+    The keys are the family's fields, with lam spelled lambda; each is given
+    once. A given `lam` supplies lambda, which the text must then leave out
+    (a plan's reg names the shape parameters, its lambdas the weights).
+    """
+    family, _, rest = text.strip().partition(":")
+    family, rest = family.strip(), rest.strip()
     if family not in _FAMILIES:
         raise ValueError(f"unknown regularizer family {family!r}; known: {sorted(_FAMILIES)}")
     cls = _FAMILIES[family]
-    return cls, tuple("lambda" if f.name == "lam" else f.name for f in fields(cls))
-
-
-def parse_reg_family(text: str) -> tuple[str, dict[str, float]]:
-    """Split 'family:k=v,...' into the family name and parameter dict."""
-    family, _, rest = text.strip().partition(":")
-    family, rest = family.strip(), rest.strip()
-    _, keys = _family(family)
-    params: dict[str, float] = {}
+    keys = ["lambda" if f.name == "lam" else f.name for f in fields(cls)]
+    params = {} if lam is None else {"lambda": lam}
     for item in rest.split(",") if rest else ():
         if "=" not in item:
             raise ValueError(f"malformed parameter {item!r}, expected key=value")
@@ -351,20 +351,9 @@ def parse_reg_family(text: str) -> tuple[str, dict[str, float]]:
         if key not in keys:
             raise ValueError(f"parameter {key!r} not valid for family {family!r}")
         if key in params:
-            raise ValueError(f"duplicate parameter {key!r}")
+            raise ValueError(f"duplicate parameter {key!r}" if lam is None or key != "lambda"
+                             else "lambda comes from lam (a plan's lambdas), not from the text")
         params[key] = float(val)
-    return family, params
-
-
-def make_spec(family: str, **params: float) -> RegularizerSpec:
-    """Build a spec from the family name and CLI-syntax parameter names."""
-    cls, keys = _family(family)
-    if set(params) != set(keys):
-        raise ValueError(f"family {family!r} takes parameters {list(keys)}, got {sorted(params)}")
+    if len(params) < len(keys):
+        raise ValueError(f"family {family!r} takes parameters {keys}, got {sorted(params)}")
     return cls(*(float(params[k]) for k in keys))
-
-
-def parse_reg(text: str) -> RegularizerSpec:
-    """Parse a full spec string such as 'l1-l2:lambda=5e-4' or 'log:lambda=1e-3,eps=0.5'."""
-    family, params = parse_reg_family(text)
-    return make_spec(family, **params)

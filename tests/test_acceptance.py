@@ -58,7 +58,7 @@ def table_l12():
     plan = BenchmarkPlan(
         grid=[DESK_CELL],
         lambdas=[5e-4],
-        reg_family="l1-l2",
+        reg="l1-l2",
         instances_per_cell=DESK_REPS,
         master_seed=0,
     )
@@ -70,8 +70,7 @@ def table_log():
     plan = BenchmarkPlan(
         grid=[DESK_CELL],
         lambdas=[1e-3],
-        reg_family="log",
-        reg_params={"eps": 0.5},
+        reg="log:eps=0.5",
         instances_per_cell=DESK_REPS,
         master_seed=0,
     )

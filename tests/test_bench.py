@@ -25,6 +25,7 @@ from dcopt.bench import (
     replicate_seed,
     run_benchmark,
 )
+from dcopt.diagnostics import DescentReport
 from dcopt.instances import l12_lambda_bound
 from dcopt.linalg import LmaxResult
 from dcopt.solvers import objective, solve
@@ -32,7 +33,7 @@ from dcopt.solvers import objective, solve
 TINY_PLAN = BenchmarkPlan(
     grid=((20, 50, 3),),
     lambdas=(1e-3,),
-    reg_family="l1-l2",
+    reg="l1-l2",
     instances_per_cell=2,
     master_seed=4,
 )
@@ -64,8 +65,7 @@ class TestParsePlan:
         plan = parse_plan(text)
         assert plan.grid == [(10, 20, 2), (20, 40, 4)]
         assert plan.lambdas == [1e-3, 5e-4]
-        assert plan.reg_family == "log"
-        assert plan.reg_params == {"eps": 0.5}
+        assert plan.reg == "log:eps=0.5"
         assert plan.solvers == ["gist", "pdca"]
         assert plan.instances_per_cell == 2
         assert plan.master_seed == 7
@@ -103,40 +103,77 @@ class TestParsePlan:
         with pytest.raises(ValueError, match=fragment):
             parse_plan(text)
 
+    @pytest.mark.parametrize(("reg", "fragment"), [
+        ("huh:eps=1", "unknown regularizer family"),
+        ("log:theta=1", "not valid for family"),
+        ("log:eps=0.5,eps=1", "duplicate parameter"),
+        ("log", "takes parameters"),
+        ("log:eps", "malformed parameter"),
+        ("log:eps=0.5,", "malformed parameter"),
+        ("log:lambda=1e-3,eps=0.5", "lambda"),
+        ("log:eps=-1", "eps must exceed"),
+        ("scad:theta=nan", "theta must exceed"),
+    ])
+    def test_rejects_bad_reg(self, reg, fragment):
+        text = f"grid=10x20x2\nlambdas=1e-3\nreg={reg}\nsolvers=gist\ninstances=1\nseed=0"
+        with pytest.raises(ValueError, match=fragment):
+            parse_plan(text)
+
+
+PLANS = Path(__file__).resolve().parents[1] / "scripts" / "plans"
+
+
+class TestCommittedPlans:
+    @pytest.mark.parametrize("path", sorted(PLANS.glob("*.plan")), ids=lambda p: p.stem)
+    def test_plan_parses(self, path):
+        parse_plan(path.read_text())  # raises on a malformed plan
+
+    def test_desk_plans_share_their_instances(self):
+        # the l1-l2 and log desk tables are computed on identical instances
+        l12, log = (parse_plan((PLANS / f"desk-{name}.plan").read_text())
+                    for name in ("l1l2", "log"))
+        assert (l12.reg, log.reg) == ("l1-l2", "log:eps=0.5")
+        assert dataclasses.replace(log, reg=l12.reg) == l12
+
+    def test_full_grid_has_ten_scaled_desk_cells(self):
+        plan = parse_plan((PLANS / "full-grid-l1l2.plan").read_text())
+        assert plan.grid == [(720 * i, 2560 * i, 80 * i) for i in range(1, 11)]
+        assert plan.reg == "l1-l2"
+
 
 class TestPlanValidation:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            BenchmarkPlan(grid=(), lambdas=(1e-3,), reg_family="l1-l2")
+            BenchmarkPlan(grid=(), lambdas=(1e-3,), reg="l1-l2")
 
     def test_rejects_bad_family_params_fast(self):
         with pytest.raises(ValueError):
-            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="log")
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg="log")
 
     def test_rejects_zero_instances(self):
         with pytest.raises(ValueError):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,),
-                          reg_family="l1-l2", instances_per_cell=0)
+                          reg="l1-l2", instances_per_cell=0)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
-            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(-1e-3,), reg_family="l1-l2")
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(-1e-3,), reg="l1-l2")
 
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
     def test_checks_every_lambda(self, bad):
         with pytest.raises(ValueError, match="lam"):
-            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3, bad), reg_family="l1-l2")
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3, bad), reg="l1-l2")
 
     @pytest.mark.parametrize("cell", [(10, 20, 30), (0, 20, 2), (10, 20, 0),
                                       (6, 10, True), (6.0, 10, 2), (6, 10.5, 2)])
     def test_checks_every_cell(self, cell):
         with pytest.raises(ValueError, match="grid cell"):
-            BenchmarkPlan(grid=((10, 20, 2), cell), lambdas=(1e-3,), reg_family="l1-l2")
+            BenchmarkPlan(grid=((10, 20, 2), cell), lambdas=(1e-3,), reg="l1-l2")
 
     @pytest.mark.parametrize("count", [True, 1.5, 2.0, -1])
     def test_instances_must_be_a_count(self, count):
         with pytest.raises(ValueError, match="instances_per_cell"):
-            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="l1-l2",
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg="l1-l2",
                           instances_per_cell=count)
 
     @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "0", None, True])
@@ -144,12 +181,12 @@ class TestPlanValidation:
         # -1 would alias 2**64 - 1 through the 64-bit mask of combine_seed, and
         # True ran as seed 1
         with pytest.raises(ValueError, match="master_seed"):
-            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg_family="l1-l2",
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg="l1-l2",
                           master_seed=seed)
 
     def test_numpy_integers_accepted(self):
         plan = BenchmarkPlan(grid=[tuple(np.int64(v) for v in (10, 20, 2))], lambdas=(1e-3,),
-                             reg_family="l1-l2", instances_per_cell=np.int32(2),
+                             reg="l1-l2", instances_per_cell=np.int32(2),
                              master_seed=np.uint64(2**64 - 1))
         assert plan.master_seed == 2**64 - 1
 
@@ -159,7 +196,7 @@ class TestPlanValidation:
         {"solvers": ["pdca_e"] * 2},
     ], ids=["grid", "lambdas", "solvers"])
     def test_rejects_repeated_entries(self, repeat):
-        plan = {"grid": [(10, 20, 2)], "lambdas": [1e-3], "reg_family": "l1-l2", **repeat}
+        plan = {"grid": [(10, 20, 2)], "lambdas": [1e-3], "reg": "l1-l2", **repeat}
         with pytest.raises(ValueError, match="repeats"):
             BenchmarkPlan(**plan)
 
@@ -238,8 +275,7 @@ class TestRunBenchmark:
             return res
 
         monkeypatch.setattr(bench_mod, "solve", recording_solve)
-        plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-3), reg_family="log",
-                                   reg_params={"eps": 0.5})
+        plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-3), reg="log:eps=0.5")
         records = run_benchmark(plan)
         assert len(runs) == len(records) == 2 * 2 * 3
         for rec, (inst, spec, res) in zip(records, runs):
@@ -260,12 +296,19 @@ class TestRunBenchmark:
     def test_records_come_in_plan_order(self):
         # cell, then replicate, then lambda, then solver, each in the order the plan lists
         plan = BenchmarkPlan(grid=[(20, 50, 3), (15, 40, 2)], lambdas=[5e-4, 1e-3],
-                             reg_family="l1-l2", solvers=["pdca", "gist"],
+                             reg="l1-l2", solvers=["pdca", "gist"],
                              instances_per_cell=2, master_seed=4)
         records = run_benchmark(plan)
         assert [(r.m, r.n, r.s, r.replicate, r.lam, r.solver) for r in records] == [
             (*cell, rep, lam, solver) for cell in plan.grid for rep in range(2)
             for lam in plan.lambdas for solver in plan.solvers]
+
+    def test_descent_violation_is_an_invariant_violation(self, monkeypatch):
+        # gist has no beta trace, so the first audited run is pdca_e's
+        monkeypatch.setattr(bench_mod, "check_descent", lambda res, L: DescentReport(2, 1e-3))
+        with pytest.raises(InvariantViolation, match=r"violated 2 times \(max shortfall "
+                           r"1\.000e-03\) by pdca_e on cell \(20, 50, 3\) rep 0 lam 0\.001$"):
+            run_benchmark(TINY_PLAN)
 
     def test_unconverged_lmax_is_an_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(bench_mod, "lmax_gram",
@@ -369,22 +412,22 @@ def _fingerprint_pin_skip_reason() -> str | None:
 
 
 @pytest.mark.parametrize(
-    ("family", "params", "digest"),
+    ("reg", "digest"),
     [
-        ("l1-l2", {}, "567821ff3e986285"),
-        ("log", {"eps": 0.5}, "485bbfebc660f650"),
-        ("mcp", {"theta": 2.5}, "ebbe24eee0074699"),
-        ("scad", {"theta": 3.7}, "099d1efca34b5fd3"),
-        ("tl1", {"a": 1.0}, "7029532eaf51cf61"),
+        ("l1-l2", "567821ff3e986285"),
+        ("log:eps=0.5", "485bbfebc660f650"),
+        ("mcp:theta=2.5", "ebbe24eee0074699"),
+        ("scad:theta=3.7", "099d1efca34b5fd3"),
+        ("tl1:a=1.0", "7029532eaf51cf61"),
     ],
     ids=["l1-l2", "log", "mcp", "scad", "tl1"],
 )
-def test_per_family_fingerprint_is_pinned(family, params, digest):
+def test_per_family_fingerprint_is_pinned(reg, digest):
     reason = _fingerprint_pin_skip_reason()
     if reason:
         pytest.skip(reason)
-    plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg_family=family,
-                         reg_params=params, instances_per_cell=2, master_seed=3)
+    plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg=reg,
+                         instances_per_cell=2, master_seed=3)
     text = nontiming_fingerprint(run_benchmark(plan))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
@@ -397,10 +440,10 @@ def feature_runs() -> dict:
     """numpy's SIMD features, and (family, solver, replicate, lam, iterations,
     status, F) for every run of a small plan per family."""
     runs = []
-    for family, params in (("l1-l2", {}), ("log", {"eps": 0.5}), ("mcp", {"theta": 2.5}),
-                           ("scad", {"theta": 3.7}), ("tl1", {"a": 1.0})):
-        plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg_family=family,
-                             reg_params=params, instances_per_cell=2, master_seed=3)
+    for reg in ("l1-l2", "log:eps=0.5", "mcp:theta=2.5", "scad:theta=3.7", "tl1:a=1.0"):
+        plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg=reg,
+                             instances_per_cell=2, master_seed=3)
+        family = reg.partition(":")[0]
         runs += [[family, r.solver, r.replicate, r.lam, r.iterations, r.status, r.fval]
                  for r in run_benchmark(plan)]
     return {"found": _simd_found(), "runs": runs}

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dcopt.cli import main
-from dcopt.diagnostics import merit
+from dcopt.diagnostics import DescentReport, merit
 from dcopt.instances import generate_instance, load_instance, save_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import parse_reg
@@ -313,6 +313,54 @@ class TestBench:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ||A v||^2 is not finite at power iteration 1")
+        assert not (workdir / "out.csv").exists()
+
+    @staticmethod
+    def abort_gist(monkeypatch):
+        """Make every gist run in dcopt.bench report an abort."""
+        def solve_or_abort(inst, spec, cfg):
+            res = solve(inst, spec, cfg)
+            if cfg.algorithm == "gist":
+                res = dataclasses.replace(res, status="aborted", message="forced abort")
+            return res
+
+        monkeypatch.setattr("dcopt.bench.solve", solve_or_abort)
+
+    def test_inadmissible_weight_is_exit_2_with_tables(self, monkeypatch, workdir):
+        # a weight far above the l1-l2 bound: one line per record, and the
+        # abort lines wait until every weight is admissible
+        self.abort_gist(monkeypatch)
+        (workdir / "big.plan").write_text(
+            TINY_PLAN_TEXT.replace("log:eps=0.5", "l1-l2").replace("1e-3", "1e3"))
+        rc, out, err = run_cli("bench", "--plan", "big.plan",
+                               "--out-csv", "out.csv", "--out-md", "out.md")
+        assert rc == 2
+        assert out.splitlines() == ["out.csv", "out.md"]
+        assert len((workdir / "out.csv").read_text().splitlines()) == 2
+        lines = err.splitlines()
+        assert len(lines) == 2 * 2  # replicates x solvers
+        for rep, line in zip((0, 0, 1, 1), lines):
+            assert re.fullmatch(rf"inadmissible weight: lam=1000 vs bound \S+ "
+                                rf"on \(20,50,3\) rep {rep}", line), line
+
+    def test_solver_abort_is_exit_3(self, monkeypatch, workdir):
+        self.abort_gist(monkeypatch)
+        (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
+        rc, out, err = run_cli("bench", "--plan", "tiny.plan", "--out-csv", "out.csv")
+        assert rc == 3
+        assert out.splitlines() == ["out.csv"]
+        assert err.splitlines() == [
+            f"solver abort: gist on (20,50,3) rep {rep}: forced abort" for rep in (0, 1)]
+
+    def test_descent_violation_is_exit_2_without_tables(self, monkeypatch, workdir):
+        monkeypatch.setattr("dcopt.bench.check_descent", lambda res, L: DescentReport(1, 0.5))
+        (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
+        rc, out, err = run_cli("bench", "--plan", "tiny.plan", "--out-csv", "out.csv")
+        assert rc == 2
+        assert out == ""
+        assert err == ("invariant violation: descent inequality violated 1 times "
+                       "(max shortfall 5.000e-01) by pdca_e on cell (20, 50, 3) rep 0 "
+                       "lam 0.001\n")
         assert not (workdir / "out.csv").exists()
 
     def test_malformed_plan_is_exit_2(self, workdir):

@@ -117,6 +117,27 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(0, 0).randbelow(0)
 
+    @pytest.mark.parametrize("bound", [2.5, 2.0, True, -3])
+    def test_randbelow_takes_an_integer_bound(self, bound):
+        # 2.5 drew the float 2.0 and True drew 0
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            RandomSource(0, 0).randbelow(bound)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, -1])
+    def test_raw_takes_an_integer_count(self, count):
+        # 2.5 drew three words and left the counter at 2.5, so the next
+        # draw repeated word 3
+        src = RandomSource(0, 0)
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            src.raw(count)
+        assert src.counter == 0
+        assert np.array_equal(src.raw(2), RandomSource(0, 0).raw(2))
+
+    def test_raw_accepts_zero_and_numpy_counts(self):
+        src = RandomSource(0, 0)
+        assert src.raw(0).shape == (0,)
+        assert np.array_equal(src.raw(np.int64(3)), RandomSource(0, 0).raw(3))
+
     @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5), np.uint64(5)],
                              ids=["int64", "int32", "uint64"])
     def test_numpy_integer_seed_matches_python_int(self, seed):
@@ -146,6 +167,12 @@ class TestGaussVector:
     def test_lengths(self):
         for length in (1, 2, 3, 17, 64):
             assert gauss_vector(RandomSource(1, 0), length).shape == (length,)
+
+    @pytest.mark.parametrize("length", [True, 2.0, 0, -1])
+    def test_length_must_be_a_count(self, length):
+        # True drew one value
+        with pytest.raises(ValueError, match="length must be an integer >= 1"):
+            gauss_vector(RandomSource(1, 0), length)
 
     def test_finite(self):
         g = gauss_vector(RandomSource(2, 0), 200000)

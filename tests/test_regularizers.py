@@ -26,11 +26,9 @@ from dcopt.regularizers import (
     _FAMILIES,
     _largest_cubic_root,
     full_prox,
-    make_spec,
     p1_prox,
     p2_subgrad,
     parse_reg,
-    parse_reg_family,
     reg_value,
     soft_threshold,
 )
@@ -237,6 +235,13 @@ class TestP1Prox:
             )
             assert got == pytest.approx(ref, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_must_be_positive_and_finite(self, mu):
+        # mu = nan soft-thresholded every entry to NaN
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            p1_prox(L1MinusL2(0.1), np.array([1.0, -0.5, 0.0]), mu)
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
     @given(z1=finite_floats, z2=finite_floats)
     def test_nonexpansive(self, spec, z1, z2):
@@ -315,6 +320,15 @@ class TestP2Subgrad:
 
 
 class TestFullProx:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("L_t", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_must_be_positive_and_finite(self, spec, L_t):
+        # L_t = nan made l1-l2 take its 1-sparse branch, and MCP and TL1 warn
+        # before they raise
+        with pytest.raises(ValueError, match="L_t must be positive and finite"):
+            full_prox(spec, np.array([1.0, -0.5, 0.0]), L_t)
+
     def test_l12_scalar_is_identity(self):
         # in one dimension the l1 and l2 norms coincide, the penalty vanishes
         for z in (0.0, 0.3, -7.0):
@@ -620,34 +634,38 @@ class TestParsers:
             "l1-l2:lambda=xyz",
             "scad:lambda=1,theta=2",
             "l1-l2:lambda=1,lambda=2",
+            "log:lambda=1,eps",
+            "log:lambda=1,eps=0.5,",
         ],
     )
     def test_parse_reg_rejects(self, text):
         with pytest.raises(ValueError):
             parse_reg(text)
 
-    def test_parse_reg_family_keeps_cli_keys(self):
-        family, params = parse_reg_family("log:eps=0.5")
-        assert family == "log"
-        assert params == {"eps": 0.5}
+    def test_parse_reg_takes_lambda_from_lam(self):
+        # a plan's reg names the shape parameters; the weight comes from lam
+        assert parse_reg("mcp:theta=2.5", 0.1) == MCP(0.1, 2.5)
+        assert parse_reg(" l1-l2 ", 0.25) == L1MinusL2(0.25)
+        with pytest.raises(ValueError, match="lambda"):
+            parse_reg("log:lambda=1e-3,eps=0.5", 1e-3)
+        with pytest.raises(ValueError, match="lam"):
+            parse_reg("log:eps=0.5", -1e-3)
 
-    def test_parse_reg_family_unknown(self):
-        with pytest.raises(ValueError):
-            parse_reg_family("nope:eps=1")
+    def test_parse_reg_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown regularizer family 'nope'"):
+            parse_reg("nope:eps=1", 1e-3)
 
-    def test_make_spec_maps_cli_names(self):
-        spec = make_spec("log", **{"lambda": 1e-3, "eps": 0.5})
-        assert spec == LogPenalty(1e-3, 0.5)
-        spec = make_spec("tl1", **{"lambda": 0.2, "a": 0.7})
-        assert spec == TransformedL1(0.2, 0.7)
+    def test_parse_reg_maps_cli_names(self):
+        assert parse_reg("log:eps=0.5", 1e-3) == LogPenalty(1e-3, 0.5)
+        assert parse_reg("tl1:a=0.7", 0.2) == TransformedL1(0.2, 0.7)
 
     def test_registry_lists_every_family(self):
         # a family class missing from the registry cannot be parsed
         assert set(_FAMILIES.values()) == set(RegularizerSpec.__subclasses__())
         assert all(_FAMILIES[cls.name] is cls for cls in _FAMILIES.values())
 
-    def test_make_spec_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            make_spec("mcp", **{"lambda": 0.1})
-        with pytest.raises(ValueError):
-            make_spec("l1-l2", **{"lambda": 0.1, "eps": 1.0})
+    def test_parse_reg_rejects_missing_or_foreign_keys(self):
+        with pytest.raises(ValueError, match="takes parameters"):
+            parse_reg("mcp:", 0.1)
+        with pytest.raises(ValueError, match="not valid"):
+            parse_reg("l1-l2:eps=1.0", 0.1)
