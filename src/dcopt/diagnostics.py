@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import ProblemInstance
+from .linalg import _is_real
 from .regularizers import RegularizerSpec, p1_prox, p2_subgrad
 from .solvers import SolveResult
 
@@ -27,7 +28,7 @@ class DescentReport:
 
 
 def _check_L(L: float) -> None:
-    if not 0 < L < math.inf:
+    if not (_is_real(L) and 0 < L < math.inf):
         raise ValueError("L must be positive and finite")
 
 

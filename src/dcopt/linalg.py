@@ -61,6 +61,11 @@ def _is_count(value, least: int = 1) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
+def _is_real(value) -> bool:
+    # bool is a Real, but True would silently mean 1.0; callers add their range
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class RandomSource:
     """Counter-based splitmix64 stream.
@@ -163,10 +168,11 @@ _BLAS = _bundled_blas()
 _PAIR_BLOCK_BYTES = 800 * 1024  # a row block of A stays in L2 between its two reads
 
 
-def _gemv_pair(A: np.ndarray, x: np.ndarray, resid=None) -> tuple[np.ndarray, np.ndarray]:
-    """(w, A.T @ r) for w = A @ x and r[s] = resid(w[s], s) (r = w if resid is None).
+def _gemv_pair(A: np.ndarray, x: np.ndarray, shift=None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, A.T @ r) for w = A @ x and r = w, or r = (w + beta * (w - prev)) - b given
+    shift = (beta, prev, b): with prev = A x_prev, r = A y - b at y = x + beta (x - x_prev).
 
-    One pass over A: per row block s, w[s] = A[s] @ x, then u += A[s].T @ r[s]
+    One pass over A: per row block s, w[s] = A[s] @ x and r[s], then u += A[s].T @ r[s]
     from L2 through numpy's own dgemv with beta = 1. OpenBLAS adds each 4-row
     group's partial sum into u in row order, so this gives numpy's bits when
     n % 4 == 0, blocks start at multiples of 8 (leftover rows join the last), A
@@ -176,18 +182,20 @@ def _gemv_pair(A: np.ndarray, x: np.ndarray, resid=None) -> tuple[np.ndarray, np
     """
     m, n = A.shape
     rows = max(8, _PAIR_BLOCK_BYTES // (64 * n) * 8)
+    if shift is not None:
+        beta, prev, b = shift
     if (_BLAS is None or n % 4 or m < 2 * rows or A.dtype != np.float64
             or not A.flags.c_contiguous or _BLAS[1]() != 1):
         w = A @ x
-        return w, A.T @ (w if resid is None else resid(w, slice(None)))
+        return w, A.T @ (w if shift is None else (w + beta * (w - prev)) - b)
     w, u = np.empty(m), np.zeros(n)
-    r = w if resid is None else np.empty(m)
+    r = w if shift is None else np.empty(m)
     pa, pr, pu = A.ctypes.data, r.ctypes.data, u.ctypes.data
     for i in range(0, m - rows + 1, rows):
         s = slice(i, m if i + 2 * rows > m else i + rows)
         np.matmul(A[s], x, out=w[s])
-        if resid is not None:
-            r[s] = resid(w[s], s)
+        if shift is not None:
+            r[s] = (w[s] + beta * (w[s] - prev[s])) - b[s]
         # CblasRowMajor, CblasTrans: u += A[s].T @ r[s]
         _BLAS[0](101, 112, s.stop - i, n, 1.0, pa + 8 * n * i, n, pr + 8 * i, 1, 1.0, pu, 1)
     return w, u

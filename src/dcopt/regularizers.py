@@ -21,6 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .linalg import _is_real
+
 _TIE_TOL = 1e-12  # within this objective gap the smaller |u| wins: deterministic, sparse
 # Above this |z_i| the candidate formulas can overflow (TL1 cubes |z_i|, and
 # the origin's objective squares it); see RegularizerSpec.prox.
@@ -44,10 +46,10 @@ class RegularizerSpec:
     floor: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
+        if not (_is_real(self.lam) and 0 <= self.lam < math.inf):
             raise ValueError("lam must be non-negative and finite")
         for f in fields(self)[1:]:
-            if not self.floor < getattr(self, f.name) < math.inf:
+            if not (_is_real(value := getattr(self, f.name)) and self.floor < value < math.inf):
                 raise ValueError(f"{f.name} must exceed {self.floor:g} and be finite")
 
     @property
@@ -250,7 +252,7 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 
 def p1_prox(spec: RegularizerSpec, z: np.ndarray, mu: float) -> np.ndarray:
     """argmin_u 0.5 ||u-z||^2 + mu * P1(u); soft threshold at mu * w."""
-    if not 0 < mu < math.inf:
+    if not (_is_real(mu) and 0 < mu < math.inf):
         raise ValueError("mu must be positive and finite")
     z = np.asarray(z, dtype=np.float64)
     return soft_threshold(z, mu * spec.weight)
@@ -309,7 +311,7 @@ def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
     keep the best; l1-l2 uses its coupled vector solution. Exactness is
     guarded by the grid-oracle tests, not re-derived here.
     """
-    if not 0 < L_t < math.inf:
+    if not (_is_real(L_t) and 0 < L_t < math.inf):
         raise ValueError("L_t must be positive and finite")
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
@@ -336,6 +338,10 @@ def parse_reg(text: str, lam: float | None = None) -> RegularizerSpec:
     once. A given `lam` supplies lambda, which the text must then leave out
     (a plan's reg names the shape parameters, its lambdas the weights).
     """
+    if not isinstance(text, str):
+        raise ValueError(f"reg must be text such as 'log:eps=0.5', got {text!r}")
+    if lam is not None and not _is_real(lam):
+        raise ValueError(f"lambda must be a real number, got {lam!r}")
     family, _, rest = text.strip().partition(":")
     family, rest = family.strip(), rest.strip()
     if family not in _FAMILIES:

@@ -3,10 +3,10 @@
 All three run in one loop that starts from the origin, caches A x^t and
 A x^{t-1}, and stops when ||x^t - x^{t-1}|| / max(1, ||x^t||) < tol; only
 the candidate step depends on the algorithm. The pdca family makes one pass
-over A per iteration: once x^{t+1} and beta_{t+1} are known, `_gemv_pair`
-gives A x^{t+1}, which feeds the objective trace, and the next gradient
-A.T (A y^{t+1} - b), where A y^{t+1} is the affine combination of A x^{t+1}
-and the cached A x^t; so tracing adds no matvecs. gist performs one
+over A per iteration: given x^{t+1} and (beta_{t+1}, A x^t, b), `_gemv_pair`
+returns A x^{t+1}, which feeds the objective trace, and the next gradient
+A.T (A y^{t+1} - b), forming A y^{t+1} = A x^{t+1} + beta_{t+1} (A x^{t+1} -
+A x^t) block by block itself; so tracing adds no matvecs. gist performs one
 transposed matvec per iteration and one matvec per backtracking trial.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import ProblemInstance
-from .linalg import _gemv_pair, _is_count
+from .linalg import _gemv_pair, _is_count, _is_real
 from .regularizers import RegularizerSpec, full_prox, p1_prox, p2_subgrad, reg_value
 
 SOLVERS = ("gist", "pdca_e", "pdca")
@@ -46,13 +46,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in SOLVERS:
             raise ValueError(f"algorithm must be one of {SOLVERS}")
-        if not 0 < self.tol < math.inf:
+        if not (_is_real(self.tol) and 0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
         if not _is_count(self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
         if self.restart_period is not None and not _is_count(self.restart_period):
             raise ValueError("restart_period must be an integer >= 1 when present")
-        if self.L_override is not None and not 0 < self.L_override < math.inf:
+        L = self.L_override
+        if L is not None and not (_is_real(L) and 0 < L < math.inf):
             raise ValueError("L_override must be positive and finite")
 
 
@@ -149,12 +150,6 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
         if pdca_e:  # beta_0 = 0; the trigger is off at the origin
             beta, state = next_beta(state, cfg.restart_period, False)
         grad_y = A.T @ (Ax - b)  # y^0 = x^0 = 0
-        Ay = np.empty(inst.m)
-
-        def residual(w, s):  # runs while beta is beta_{t+1} and Ax is A x^t
-            Ay[s] = w + beta * (w - Ax[s])
-            return Ay[s] - b[s]
-
     F0 = 0.5 * float(b @ b)  # F(0): every penalty vanishes at the origin
     obj = [F0]
     steps: list[float] = []
@@ -197,7 +192,7 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
                 if pdca_e:
                     trigger = cfg.adaptive_restart and float((y - x_new) @ (x_new - x)) > 0.0
                     beta, state = next_beta(state, cfg.restart_period, trigger)
-                Ax_new, grad_y = _gemv_pair(A, x_new, residual)
+                Ax_new, grad_y = _gemv_pair(A, x_new, (beta, Ax, b))
                 F = _objective(spec, Ax_new, b, x_new)
             else:
                 message = f"non-finite iterate at t={t}"

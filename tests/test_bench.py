@@ -159,10 +159,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(-1e-3,), reg="l1-l2")
 
-    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+    # "1e-3" and True were stored as given: a str lam failed later in RunRecord.admissible
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf"), "1e-3", True])
     def test_checks_every_lambda(self, bad):
         with pytest.raises(ValueError, match="lam"):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3, bad), reg="l1-l2")
+
+    def test_reg_must_be_text(self):
+        # None raised AttributeError from parse_reg
+        with pytest.raises(ValueError, match="reg must be text"):
+            BenchmarkPlan(grid=((10, 20, 2),), lambdas=(1e-3,), reg=None)
 
     @pytest.mark.parametrize("cell", [(10, 20, 30), (0, 20, 2), (10, 20, 0),
                                       (6, 10, True), (6.0, 10, 2), (6, 10.5, 2)])

@@ -112,7 +112,7 @@ class TestCheckDescent:
             with pytest.raises(ValueError, match="inconsistent with iterations"):
                 check_descent(broken, L)
 
-    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf, True])
     def test_rejects_bad_L(self, run, L):
         res, _ = run
         with pytest.raises(ValueError, match="L must be positive and finite"):
@@ -120,7 +120,7 @@ class TestCheckDescent:
 
 
 class TestStationarityResidual:
-    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf, True])
     def test_rejects_bad_L(self, L):
         inst = identity_instance([1.0, 0.0])
         with pytest.raises(ValueError, match="L must be positive and finite"):

@@ -142,7 +142,7 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(**kwargs)
 
-    @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf, True])
     def test_rejects_bad_noise_scale_before_drawing_A(self, monkeypatch, noise_scale):
         def no_draw(*args):
             raise AssertionError("A was drawn before noise_scale was checked")
@@ -313,7 +313,7 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="ground_truth must be finite"):
             ProblemInstance(np.eye(2), np.zeros(2), gt, np.array([0]), 0, 0.0)
 
-    @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf, True])
     def test_rejects_bad_noise_scale(self, noise_scale):
         with pytest.raises(ValueError, match="noise_scale"):
             ProblemInstance(np.eye(2), np.zeros(2), np.zeros(2), np.array([0]), 0, noise_scale)

@@ -309,7 +309,7 @@ _PAIR_CHECK = textwrap.dedent("""
         B = rng.standard_normal((2161, n + 2))
         for m in [*range(1, 98), 719, 720, 721, 722, 723, 2159, 2160, 2161]:
             C = np.ascontiguousarray(B[:m, 1:n + 1])
-            x, c = rng.standard_normal(n), rng.standard_normal(m)
+            x, p, c = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)
             # 8-row, 24-row and default blocks; an F-ordered copy; a strided view
             cases = [(C, 1), (C, 64 * 24 * n), (C, default),
                      (np.asfortranarray(C), 1), (B[:m, 1:n + 1], 1)]
@@ -317,11 +317,11 @@ _PAIR_CHECK = textwrap.dedent("""
                 rows = max(8, budget // (64 * n) * 8)
                 runs = A is C and n % 4 == 0 and m >= 2 * rows
                 w0 = A @ x
-                for resid, u0 in ((None, A.T @ w0),
-                                  (lambda w, s: 0.5 * w - c[s], A.T @ (0.5 * w0 - c))):
+                for shift in (None, (0.0, p, c), (0.5, p, c)):
+                    u0 = A.T @ (w0 if shift is None else (w0 + shift[0] * (w0 - p)) - c)
                     blocks.clear()
                     linalg._PAIR_BLOCK_BYTES = budget
-                    w, u = linalg._gemv_pair(A, x, resid)
+                    w, u = linalg._gemv_pair(A, x, shift)
                     assert same(w, w0) and same(u, u0), (m, n, budget, A.flags)
                     assert blocks == ([rows] * (m // rows - 1) + [m - rows * (m // rows - 1)]
                                       if runs else []), (m, n, budget, blocks)

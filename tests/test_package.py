@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import dcopt
+from dcopt import solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,8 +58,27 @@ def test_solvers_take_L_from_the_caller():
                    for alias in node.names]
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
-    assert sorted(from_linalg) == ["_gemv_pair", "_is_count"]
+    assert sorted(from_linalg) == ["_gemv_pair", "_is_count", "_is_real"]
     assert "logging" not in modules
+
+
+def test_solve_hands_the_pass_data_not_a_callback(monkeypatch):
+    # the pass forms the pdca residual from (beta, A x^t, b) itself; a closure
+    # over the loop's beta and Ax was right only where the loop happened to call it
+    tree = ast.parse((ROOT / "src" / "dcopt" / "solvers.py").read_text())
+    solve = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    nested = [getattr(node, "name", "lambda") for node in ast.walk(solve) if node is not solve
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []
+
+    real, args = solvers._gemv_pair, []
+    monkeypatch.setattr(solvers, "_gemv_pair", lambda *a: (args.extend(a), real(*a))[1])
+    inst = dcopt.generate_instance(8, 12, 2, seed=1)
+    cfg = dcopt.SolverConfig("pdca_e", max_iter=5, L_override=dcopt.lmax_gram(inst.A).value)
+    dcopt.solve(inst, dcopt.L1MinusL2(1e-3), cfg)
+    flat = [item for a in args for item in (a if isinstance(a, tuple) else (a,))]
+    assert flat and not any(map(callable, flat))
 
 
 def test_import_leaves_the_process_pool_unloaded():

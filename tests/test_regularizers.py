@@ -82,6 +82,12 @@ class TestConstruction:
             lambda: TransformedL1(1.0, math.inf),
             lambda: parse_reg("l1-l2:lambda=nan"),
             lambda: parse_reg("tl1:lambda=1e-3,a=inf"),
+            # bool is a Real, and True would be read as 1.0
+            lambda: L1MinusL2(True),
+            lambda: MCP(1.0, True),
+            lambda: parse_reg("l1-l2", True),
+            lambda: parse_reg("log:eps=0.5", "1e-3"),
+            lambda: parse_reg(None, 1e-3),
         ],
     )
     def test_invalid_parameters_raise(self, factory):
@@ -236,7 +242,7 @@ class TestP1Prox:
             assert got == pytest.approx(ref, abs=1e-6)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0, True])
     def test_step_must_be_positive_and_finite(self, mu):
         # mu = nan soft-thresholded every entry to NaN
         with pytest.raises(ValueError, match="mu must be positive and finite"):
@@ -322,7 +328,7 @@ class TestP2Subgrad:
 class TestFullProx:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
-    @pytest.mark.parametrize("L_t", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("L_t", [math.nan, math.inf, 0.0, -1.0, True])
     def test_step_must_be_positive_and_finite(self, spec, L_t):
         # L_t = nan made l1-l2 take its 1-sparse branch, and MCP and TL1 warn
         # before they raise

@@ -60,6 +60,9 @@ class TestSolverConfig:
             dict(algorithm="pdca", tol=float("nan")),
             dict(algorithm="pdca", L_override=float("nan")),
             dict(algorithm="pdca_e", L_override=float("inf")),
+            # bool is a Real: True ran as tol 1, or as L = 1, where pdca diverged
+            dict(algorithm="pdca", tol=True),
+            dict(algorithm="pdca", L_override=True),
         ],
     )
     def test_validation(self, kwargs):
