@@ -27,7 +27,8 @@ _STREAM_NOISE = 3
 # Words of A drawn per gauss_vector call. Even, so every block but the last
 # consumes whole Box-Muller pairs and the blocks concatenate to the one-shot
 # draw of the counter-based stream, however they are split between workers.
-_BLOCK_WORDS = 1 << 14
+# A call's temporaries peak at twice its block, 1 MiB per worker.
+_BLOCK_WORDS = 1 << 16
 
 
 def _cpus() -> int:

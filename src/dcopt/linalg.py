@@ -27,7 +27,7 @@ _MASK = (1 << 64) - 1
 def mix64(z: int) -> int:
     """splitmix64 finalizer on an integer, reduced mod 2^64."""
     # operator.index turns a numpy integer into a Python int, whose & cannot overflow
-    return int(_mix64_array(np.uint64(operator.index(z) & _MASK)))
+    return int(_mix64_array(np.array([operator.index(z) & _MASK], dtype=np.uint64))[0])
 
 
 def combine_seed(*parts: int) -> int:
@@ -43,11 +43,15 @@ def combine_seed(*parts: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 in, uint64 out; multiplication wraps mod 2^64 by construction
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    # mixes the uint64 array z in place with one scratch array and returns it;
+    # uint64 array arithmetic wraps mod 2^64 without a warning
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def _is_seed(value) -> bool:
@@ -98,9 +102,10 @@ class RandomSource:
             raise ValueError(f"count must be a non-negative integer, got {count!r}")
         start = self.counter
         self.counter += count
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix64_array(np.uint64(self.state) + np.uint64(_GAMMA) * idx)
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        return _mix64_array(z)
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection; exact, no modulo bias."""
@@ -119,19 +124,29 @@ def gauss_vector(src: RandomSource, length: int) -> np.ndarray:
     Each pair of outputs consumes two raw words x, y:
     u1 = ((x >> 11) + 1) * 2^-53 in (0, 1], u2 = (y >> 11) * 2^-53 in [0, 1),
     then (r cos a, r sin a) with r = sqrt(-2 log u1), a = 2 pi u2. Odd lengths
-    still consume a full final pair.
+    still consume a full final pair. r and a overwrite u1 and u2 in place, in the
+    formula's operation order (IEEE * commutes), and the raw words are freed
+    before the output exists, so a call peaks near twice its output.
     """
     if not _is_count(length):
         raise ValueError(f"length must be an integer >= 1, got {length!r}")
     npairs = (length + 1) // 2
     bits = src.raw(2 * npairs)
-    u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-    u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * np.pi * u2
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    del bits
+    r, ang = u[0::2], u[1::2]
+    r += 1.0
+    r *= 2.0 ** -53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    ang *= 2.0 ** -53
+    ang *= 2.0 * np.pi
     out = np.empty(2 * npairs)
-    out[0::2] = r * np.cos(ang)
-    out[1::2] = r * np.sin(ang)
+    for half, trig in ((out[0::2], np.cos), (out[1::2], np.sin)):
+        trig(ang, out=half)
+        half *= r
     return out[:length]
 
 

@@ -104,10 +104,15 @@ class SolveResult:
 
 
 def _objective(spec: RegularizerSpec, Ax: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
-    """F(x) = 0.5 ||Ax - b||^2 + P1(x) - P2(x) from the cached product Ax."""
-    r = Ax - b
-    p1v, p2v = reg_value(spec, x)
-    return 0.5 * float(r @ r) + p1v - p2v
+    """F(x) = 0.5 ||Ax - b||^2 + P1(x) - P2(x) from the cached product Ax.
+
+    An overflow gives a non-finite F without a warning; the solve loop aborts
+    a pdca run on it and rejects a gist trial.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = Ax - b
+        p1v, p2v = reg_value(spec, x)
+        return 0.5 * float(r @ r) + p1v - p2v
 
 
 def objective(inst: ProblemInstance, spec: RegularizerSpec, x: np.ndarray) -> float:
@@ -131,8 +136,8 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     happens if full_prox returns a non-minimizer.
 
     pdca_e/pdca without cfg.L_override raise ValueError before touching A. A
-    non-finite pdca iterate or gist prox input aborts. wall_seconds covers the
-    iteration loop only.
+    non-finite pdca iterate or objective, or gist prox input, aborts.
+    wall_seconds covers the iteration loop only.
     """
     gist = cfg.algorithm == "gist"
     pdca_e = cfg.algorithm == "pdca_e"
@@ -188,12 +193,17 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
             xi = p2_subgrad(spec, x)
             x_new = p1_prox(spec, y - (grad_y - xi) / L, 1.0 / L)
             if np.all(np.isfinite(x_new)):
-                betas.append(beta)
-                if pdca_e:
-                    trigger = cfg.adaptive_restart and float((y - x_new) @ (x_new - x)) > 0.0
-                    beta, state = next_beta(state, cfg.restart_period, trigger)
-                Ax_new, grad_y = _gemv_pair(A, x_new, (beta, Ax, b))
+                beta_t = beta
+                with np.errstate(over="ignore", invalid="ignore"):  # a diverging run aborts on F
+                    if pdca_e:
+                        trigger = cfg.adaptive_restart and float((y - x_new) @ (x_new - x)) > 0.0
+                        beta, state = next_beta(state, cfg.restart_period, trigger)
+                    Ax_new, grad_y = _gemv_pair(A, x_new, (beta, Ax, b))
                 F = _objective(spec, Ax_new, b, x_new)
+                if np.isfinite(F):
+                    betas.append(beta_t)
+                else:
+                    message = f"non-finite objective at t={t}"
             else:
                 message = f"non-finite iterate at t={t}"
         if message:

@@ -17,6 +17,9 @@ descent_audit_loop is likewise check_descent as it was before it became one
 vectorized pass: the same arithmetic one step at a time, required to give the
 same counts and bits. Its merit_loop builds E from F and the steps one step
 at a time, in the order of operations the solver used when it stored E.
+box_muller_out is gauss_vector as it was before its transform ran in place:
+the docstring's formula, one numpy expression per step on fresh arrays,
+required to give the same bits from the same raw words.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ def splitmix_out(state: int, k: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def box_muller_out(words: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` Box-Muller outputs of an even number of raw uint64 words."""
+    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    ang = 2.0 * np.pi * u2
+    out = np.empty(words.size)
+    out[0::2] = r * np.cos(ang)
+    out[1::2] = r * np.sin(ang)
+    return out[:length]
 
 
 def one_shot_instance(m: int, n: int, s: int, noise_scale: float, seed: int):

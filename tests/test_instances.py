@@ -31,6 +31,8 @@ from dcopt.regularizers import L1MinusL2, LogPenalty
 from dcopt.solvers import objective
 from oracles import fd_gradient, one_shot_instance, smooth_eval
 
+BLOCK = instances._BLOCK_WORDS
+
 
 def hand_instance(b):
     """Identity-design instance with zero ground truth; handy for hand math."""
@@ -103,10 +105,13 @@ class TestGenerateInstance:
             (3, 5, 2),  # odd m * n
             (100, 1, 1),  # one column: numpy sums it pairwise
             (1, 70001, 4),  # one row longer than a block
-            (5, 30001, 3),  # rows longer than a block, odd m * n
-            (300, 501, 10),  # several blocks, the last one ragged and odd
-            (1, 16384, 2),  # ends exactly on a block boundary
-            (2, 8193, 2),  # one word past a block boundary
+            (5, 30001, 3),  # odd m * n over several blocks
+            (300, 501, 10),  # several blocks, the last one ragged
+            (1, 16384, 2),  # a power of two inside one block
+            (2, 8193, 2),  # two rows inside one block
+            (1, BLOCK, 2),  # ends exactly on a block boundary
+            (1, BLOCK + 1, 2),  # one word past a block boundary
+            (3, BLOCK + 1, 3),  # rows longer than a block, odd m * n
         ],
     )
     def test_matches_one_shot_draw(self, m, n, s):
@@ -194,10 +199,8 @@ class TestGenerateInstance:
 class TestParallelDraw:
     """A's blocks are split into one contiguous run per CPU, drawn concurrently."""
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-    @pytest.mark.parametrize("m, n, s", [(300, 501, 10), (2, 8193, 2), (1, 70001, 4),
-                                         (5, 30001, 3)])
-    def test_cpu_count_does_not_change_the_draw(self, monkeypatch, cpus, m, n, s):
+    @staticmethod
+    def assert_draw_is_one_shot(monkeypatch, cpus, m, n, s):
         monkeypatch.setattr(instances, "_cpus", lambda: cpus)
         threads, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the workers finely
@@ -210,9 +213,24 @@ class TestParallelDraw:
         for got, want in zip((inst.A, inst.b, inst.ground_truth, inst.support), ref):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m, n, s", [(300, 501, 10), (2, 8193, 2), (1, 70001, 4),
+                                         (5, 30001, 3)])
+    def test_cpu_count_does_not_change_the_draw(self, monkeypatch, cpus, m, n, s):
+        self.assert_draw_is_one_shot(monkeypatch, cpus, m, n, s)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("block", [2, 1 << 14, 1 << 16])
+    def test_block_size_does_not_change_the_draw(self, monkeypatch, block, cpus):
+        # 3 x (2 block + 1) is 6 whole blocks and 3 words: rows cross block
+        # boundaries, and the draw ends in half a Box-Muller pair
+        monkeypatch.setattr(instances, "_BLOCK_WORDS", block)
+        self.assert_draw_is_one_shot(monkeypatch, cpus, 3, 2 * block + 1, 2)
+
     @pytest.mark.parametrize("cpus, runs", [(1, 1), (3, 3), (5, 5), (64, 10)])
     def test_each_run_is_whole_blocks_from_its_own_source(self, monkeypatch, cpus, runs):
-        # 300 x 501 is 10 blocks, the last one ragged: at most one run per block
+        # 9 x (block + 3) is 10 blocks, the last one ragged: at most one run per block
+        m, n = 9, BLOCK + 3
         real = instances.gauss_vector
         calls = []
 
@@ -222,11 +240,10 @@ class TestParallelDraw:
 
         monkeypatch.setattr(instances, "_cpus", lambda: cpus)
         monkeypatch.setattr(instances, "gauss_vector", record)
-        generate_instance(300, 501, 10, seed=11)
-        block = instances._BLOCK_WORDS
+        generate_instance(m, n, 10, seed=11)
         drawn = sorted((c for c in calls if c[2].stream_id == 0), key=lambda c: c[0])
         assert [(start, length) for start, length, _ in drawn] == [
-            (start, min(block, 300 * 501 - start)) for start in range(0, 300 * 501, block)]
+            (start, min(BLOCK, m * n - start)) for start in range(0, m * n, BLOCK)]
         sources = [id(src) for _, _, src in drawn]
         # each source draws one contiguous run, and the runs differ by at most one block
         assert sources == sorted(sources, key=sources.index)
@@ -235,9 +252,9 @@ class TestParallelDraw:
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_failed_block_raises_after_every_worker_joined(self, monkeypatch, failing):
-        # 2 x 8193 is 2 blocks: the calling thread draws block 0, one worker block 1
+        # 2 x (block / 2 + 1) is 2 blocks: the calling thread draws block 0, one worker block 1
         real = instances.gauss_vector
-        bad = 0 if failing == "caller" else instances._BLOCK_WORDS
+        bad = 0 if failing == "caller" else BLOCK
         finished = []
 
         def flaky(src, length):
@@ -253,9 +270,9 @@ class TestParallelDraw:
         monkeypatch.setattr(instances, "gauss_vector", flaky)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match=f"block at word {bad} failed"):
-            generate_instance(2, 8193, 2, seed=11)
+            generate_instance(2, BLOCK // 2 + 1, 2, seed=11)
         assert threading.active_count() == threads
-        assert finished == [instances._BLOCK_WORDS - bad]
+        assert finished == [BLOCK - bad]
 
 
 class TestProblemInstanceValidation:
@@ -543,7 +560,7 @@ class TestPeakMemory:
         assert _peak_x_A("generate", "1024x4096x40") <= 1.5
 
     def test_generate_on_8_cpus_peaks_near_A(self):
-        # each worker holds its own gauss_vector temporaries, 0.66 MB at their peak
+        # each worker holds its own gauss_vector temporaries, 1.05 MB at their peak
         assert _peak_x_A("generate-8cpus", "1024x4096x40") <= 1.5
 
     def test_load_peaks_near_A(self, tmp_path):

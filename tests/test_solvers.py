@@ -255,6 +255,19 @@ class TestSolveResultContract:
         assert len(res.objective_trace) == res.iterations + 1
         assert len(res.step_norm_trace) == res.iterations
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["pdca_e", "pdca"])
+    def test_diverging_run_aborts_without_a_warning(self, algorithm):
+        # L = 1 is below lambda_max (2.80): the iterates grow until 0.5 ||Ax - b||^2
+        # overflows while x is still finite, and no numpy warning may pre-empt the abort
+        inst = generate_instance(4, 6, 2, seed=0)
+        res = solve(inst, L1MinusL2(1e-3), SolverConfig(algorithm=algorithm, L_override=1.0))
+        assert res.status == "aborted"
+        assert res.message == f"non-finite objective at t={res.iterations}"
+        assert res.iterations > 100 and np.isfinite(res.objective_trace).all()
+        self.assert_trace_contract(res, algorithm)
+        assert check_descent(res, 1.0).violations > 0
+
     def test_wall_seconds_populated(self, small_instance, small_L):
         res = solve(small_instance, L1MinusL2(1e-3),
                     SolverConfig(algorithm="pdca_e", L_override=small_L))
