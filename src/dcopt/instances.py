@@ -149,14 +149,13 @@ def generate_instance(
             block = words[i : i + _BLOCK_WORDS]
             block[:] = gauss_vector(src_a, block.size)
 
-    # contiguous runs of whole blocks, one per CPU; this thread fills the first
+    # one run of whole blocks per CPU, each in a worker: the main arena would refault temporaries
     blocks = range(0, m * n, _BLOCK_WORDS)
     k = min(_cpus(), len(blocks))
     runs = [blocks[j * len(blocks) // k : (j + 1) * len(blocks) // k] for j in range(k)]
-    with ThreadPoolExecutor(k) as pool:  # joins every worker, also when fill raises
-        done = [pool.submit(fill, run) for run in runs[1:]]
-        fill(runs[0])
-    for future in done:
+    with ThreadPoolExecutor(k) as pool:  # joins every worker, also when a run raises
+        done = [pool.submit(fill, run) for run in runs]
+    for future in done:  # in run order; pool.map would cancel the runs not yet started
         future.result()
     A /= _column_norms(A)  # an all-zero column turns NaN, which ProblemInstance rejects
 

@@ -231,8 +231,8 @@ def lmax_gram(A: np.ndarray) -> LmaxResult:
     in A, or an overflow) raises ValueError at once.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
+    if A.ndim != 2 or A.shape[1] == 0:  # no rows is fine: A.T @ A = 0
+        raise ValueError(f"expected a 2-D matrix with at least one column, got shape {A.shape}")
     n = A.shape[1]
     # a prefix of one fixed sequence whose first entry is nonzero, so its
     # norm is never 0

@@ -20,6 +20,9 @@ at a time, in the order of operations the solver used when it stored E.
 box_muller_out is gauss_vector as it was before its transform ran in place:
 the docstring's formula, one numpy expression per step on fresh arrays,
 required to give the same bits from the same raw words.
+textbook_pdca is the paper's pDCA_e loop written afresh, with its own
+gradient, theta recursion, restarts, soft threshold and P2 subgradients; it
+takes L as given, since computing L is lmax_gram's job and is checked apart.
 """
 
 from __future__ import annotations
@@ -372,3 +375,88 @@ def descent_audit_loop(result, L: float) -> tuple[int, float]:
             violations += 1
         max_shortfall = max(max_shortfall, shortfall)
     return violations, max(0.0, max_shortfall)
+
+
+def textbook_p2_subgrad(spec, x: np.ndarray) -> np.ndarray:
+    """xi in dP2(x) for P2 = w ||x||_1 - P(x): per coordinate, sign(x_i) times
+    w minus the slope of the textbook penalty at |x_i| (0 at x_i = 0, where
+    every separable P2 is flat); for l1-l2, lam x / ||x||_2 (0 at x = 0)."""
+    name = type(spec).__name__
+    lam = spec.lam
+    t = np.abs(x)
+    if name == "L1MinusL2":
+        norm = math.sqrt(float(x @ x))
+        return np.zeros_like(x) if norm == 0.0 else lam * x / norm
+    if name == "LogPenalty":
+        slope = lam / (t + spec.eps)
+    elif name == "MCP":
+        slope = np.maximum(lam - t / spec.theta, 0.0)
+    elif name == "SCAD":
+        slope = np.where(t <= lam, lam, np.maximum(spec.theta * lam - t, 0.0) / (spec.theta - 1.0))
+    elif name == "TransformedL1":
+        slope = lam * (spec.a + 1.0) * spec.a / (spec.a + t) ** 2
+    else:
+        raise TypeError(f"no textbook subgradient for {name}")
+    return np.sign(x) * (textbook_p1_weight(spec) - slope)
+
+
+@dataclass(frozen=True)
+class TextbookRun:
+    x_final: np.ndarray
+    status: str  # converged | iteration_cap
+    objective_trace: np.ndarray  # F(x^0), ..., F(x^T)
+    step_norm_trace: np.ndarray  # ||x^{t+1} - x^t||, t < T
+    beta_trace: np.ndarray  # beta_t, t < T
+    restarts: list  # (t, "adaptive" | "fixed"): theta was reset before beta_t was formed
+
+
+def textbook_pdca(inst, spec, L: float, extrapolate: bool = True, tol: float = 1e-5,
+                  max_iter: int = 5000, period: int = 200) -> TextbookRun:
+    """pDCA_e (Wen, Chen & Pong), or pDCA with extrapolate=False, from x^{-1} = x^0 = 0.
+
+    theta_{-1} = theta_0 = 1. At step t: xi^t in dP2(x^t), beta_t = (theta_{t-1} -
+    1) / theta_t, theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2, y^t = x^t + beta_t
+    (x^t - x^{t-1}) and x^{t+1} = soft(y^t - (grad f(y^t) - xi^t) / L, w / L), with
+    grad f(y) = A.T (A y - b) taken afresh. Before beta_t is formed, theta_{t-1} =
+    theta_t = 1 is reset when <y^{t-1} - x^t, x^t - x^{t-1}> > 0 (adaptive) or when
+    `period` steps have passed since the last reset (fixed). Stops once
+    ||x^{t+1} - x^t|| / max(1, ||x^{t+1}||) < tol, or after max_iter steps. F =
+    0.5 ||A x - b||^2 + P(x) is evaluated on all iterates at the end, in one product.
+    """
+    A, b = inst.A, inst.b
+    thresh = textbook_p1_weight(spec) / L
+    x = x_prev = y_prev = np.zeros(A.shape[1])
+    theta_prev = theta = 1.0
+    last_reset = 0
+    iterates, steps, betas, restarts = [x], [], [], []
+    status = "iteration_cap"
+    for t in range(max_iter):
+        beta = 0.0
+        if extrapolate:
+            kind = None
+            if float((y_prev - x) @ (x - x_prev)) > 0.0:  # 0 at t = 0
+                kind = "adaptive"
+            elif t - last_reset == period:
+                kind = "fixed"
+            if kind:
+                theta_prev = theta = 1.0
+                last_reset = t
+                restarts.append((t, kind))
+            beta = (theta_prev - 1.0) / theta
+            theta_prev, theta = theta, (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        y = x + beta * (x - x_prev) if extrapolate else x
+        z = y - (A.T @ (A @ y - b) - textbook_p2_subgrad(spec, x)) / L
+        x_new = np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+        d = x_new - x
+        step = math.sqrt(float(d @ d))
+        iterates.append(x_new)
+        steps.append(step)
+        betas.append(beta)
+        x_prev, x, y_prev = x, x_new, y
+        if step / max(1.0, math.sqrt(float(x @ x))) < tol:
+            status = "converged"
+            break
+    X = np.array(iterates)
+    R = X @ A.T - b
+    F = 0.5 * (R * R).sum(axis=1) + textbook_penalty(spec, X)
+    return TextbookRun(x, status, F, np.array(steps), np.array(betas), restarts)

@@ -250,11 +250,29 @@ class TestParallelDraw:
         sizes = [sources.count(i) for i in set(sources)]
         assert len(sizes) == runs and max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_failed_block_raises_after_every_worker_joined(self, monkeypatch, failing):
-        # 2 x (block / 2 + 1) is 2 blocks: the calling thread draws block 0, one worker block 1
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_no_block_is_drawn_on_the_calling_thread(self, monkeypatch, cpus):
+        # 9 x (block + 3) is 10 blocks; the calling thread only waits for the workers
         real = instances.gauss_vector
-        bad = 0 if failing == "caller" else BLOCK
+        drawers = []
+
+        def record(src, length):
+            if src.stream_id == 0:
+                drawers.append(threading.get_ident())
+            return real(src, length)
+
+        monkeypatch.setattr(instances, "_cpus", lambda: cpus)
+        monkeypatch.setattr(instances, "gauss_vector", record)
+        generate_instance(9, BLOCK + 3, 10, seed=11)
+        assert len(drawers) == 10
+        assert threading.get_ident() not in drawers
+        assert len(set(drawers)) <= cpus
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_failed_block_raises_after_every_worker_joined(self, monkeypatch, failing):
+        # 2 x (block / 2 + 1) is 2 blocks, one run per worker: block 0 and block 1
+        real = instances.gauss_vector
+        bad = 0 if failing == "first" else BLOCK
         finished = []
 
         def flaky(src, length):
@@ -531,7 +549,7 @@ def status_bytes(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
 op, arg = sys.argv[1:]
-if op == "generate-8cpus":  # as on an 8-CPU host: seven workers beside this thread
+if op == "generate-8cpus":  # as on an 8-CPU host: eight workers, this thread waits
     import os
     os.sched_getaffinity = lambda pid: set(range(8))
 before = status_bytes("VmRSS:")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -267,8 +268,9 @@ class TestLmaxGram:
         assert caplog.records == []  # the caller reports it, once
 
     def test_zero_matrix(self):
-        # lambda_max is exactly 0, known after the first product
+        # lambda_max is exactly 0, known after the first product; so too without rows
         assert lmax_gram(np.zeros((720, 2560))) == (0.0, True, 1)
+        assert lmax_gram(np.zeros((0, 3))) == (0.0, True, 1)
 
     def test_matrix_annihilating_the_start_reports_unconverged(self):
         n = 2560
@@ -285,6 +287,10 @@ class TestLmaxGram:
     def test_bad_args(self):
         with pytest.raises(ValueError, match="2-D"):
             lmax_gram(np.ones(3))
+        # no columns: no start vector to draw
+        for shape in ((3, 0), (0, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                lmax_gram(np.zeros(shape))
 
     # warnings are errors: 1e200 overflows in w @ w, and numpy's overflow
     # warning must not pre-empt the ValueError

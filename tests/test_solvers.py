@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
 from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, objective, solve
-from oracles import grid_min_1d, merit_loop
+from oracles import grid_min_1d, merit_loop, textbook_pdca
 
 ALL_SPECS = [
     L1MinusL2(1e-3),
@@ -360,6 +361,46 @@ class TestSolversAgree:
             vals.append(objective(small_instance, spec, res.x_final))
         spread = (max(vals) - min(vals)) / max(1e-12, abs(min(vals)))
         assert spread <= 5e-2
+
+
+@functools.lru_cache(maxsize=None)
+def textbook_case(m, n, s):
+    inst = generate_instance(m, n, s, seed=3)
+    return inst, lmax_gram(inst.A).value
+
+
+class TestTextbookTrajectory:
+    """solve's pdca family against the paper's loop written afresh (oracles.textbook_pdca)."""
+
+    @pytest.mark.parametrize("algorithm", ["pdca_e", "pdca"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("size", [(60, 200, 8), (120, 400, 12), (200, 800, 20)],
+                             ids=lambda size: "x".join(map(str, size)))
+    def test_solve_follows_the_textbook_loop(self, monkeypatch, size, spec, algorithm):
+        inst, L = textbook_case(*size)
+        # call k of next_beta forms beta_k: call 0 before the loop, call t + 1 after step t
+        resets = []
+
+        def spy(state, restart_period, adaptive_trigger):
+            fixed = state.iterations_since_restart == restart_period
+            resets.append("adaptive" if adaptive_trigger else "fixed" if fixed else None)
+            return next_beta(state, restart_period, adaptive_trigger)
+
+        monkeypatch.setattr(solvers_module, "next_beta", spy)
+        res = solve(inst, spec, SolverConfig(algorithm=algorithm, L_override=L))
+        ref = textbook_pdca(inst, spec, L, extrapolate=algorithm == "pdca_e")
+        assert (res.iterations, res.status) == (len(ref.step_norm_trace), ref.status)
+        F, F_ref = res.objective_trace, ref.objective_trace
+        assert np.all(np.abs(F - F_ref) <= 1e-10 * np.abs(F_ref))
+        gap = np.linalg.norm(res.x_final - ref.x_final)
+        assert gap <= 1e-9 * max(1.0, np.linalg.norm(ref.x_final))
+        if algorithm == "pdca_e":
+            # the last call forms a beta that no step uses
+            kinds = enumerate(resets[: res.iterations])
+            assert [(t, kind) for t, kind in kinds if kind] == ref.restarts
+            assert np.array_equal(res.beta_trace, ref.beta_trace)
+        else:
+            assert not resets and not res.beta_trace.any() and not ref.restarts
 
 
 def desk_results() -> str:
