@@ -7,7 +7,6 @@ the package; everything else is imported from its own module.
 """
 
 from .bench import nontiming_fingerprint, parse_plan, replicate_seed, run_benchmark
-from .diagnostics import check_descent, stationarity_residual
 from .instances import (
     ProblemInstance,
     generate_instance,
@@ -17,7 +16,7 @@ from .instances import (
 )
 from .linalg import RandomSource, lmax_gram
 from .regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, parse_reg
-from .solvers import SolverConfig, objective, solve
+from .solvers import SolverConfig, check_descent, objective, solve, stationarity_residual
 
 __all__ = [
     "L1MinusL2",

@@ -14,11 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .diagnostics import check_descent, stationarity_residual
 from .instances import generate_instance, l12_lambda_bound
 from .linalg import _is_count, _is_seed, combine_seed, lmax_gram
 from .regularizers import parse_reg
-from .solvers import SOLVERS, SolverConfig, solve
+from .solvers import SOLVERS, SolverConfig, check_descent, solve, stationarity_residual
 
 
 class InvariantViolation(RuntimeError):
@@ -175,8 +174,11 @@ def cell_rows(records: list[RunRecord]) -> list[CellRow]:
 
 def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> int:
     """Stable instance seed; independent of the weight by construction."""
-    if not _is_seed(master_seed):
-        raise ValueError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
+    for name, value in (("master seed", master_seed), ("replicate", replicate)):
+        if not _is_seed(value):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    if not all(map(_is_count, (m, n, s))):
+        raise ValueError(f"m, n, s must be integers >= 1, got {m!r}, {n!r}, {s!r}")
     return combine_seed(master_seed, m, n, s, replicate)
 
 

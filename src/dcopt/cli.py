@@ -8,19 +8,30 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .bench import InvariantViolation, parse_plan, render_table, run_benchmark
-from .diagnostics import merit, stationarity_residual
 from .instances import generate_instance, load_instance, save_instance
 from .linalg import lmax_gram
 from .regularizers import parse_reg
-from .solvers import SOLVERS, SolveResult, SolverConfig, solve
+from .solvers import SOLVERS, SolveResult, SolverConfig, merit, solve, stationarity_residual
+
+
+def _check_out_paths(*paths: str | None) -> None:
+    # before any work, and without creating a file, so a run that fails later leaves none
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path!r} is a directory")
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+            raise ValueError(f"output path {path!r}: {parent!r} is not a writable directory")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    inst = generate_instance(args.m, args.n, args.s, noise_scale=args.noise, seed=args.seed)
     out = args.out or f"instance-m{args.m}-n{args.n}-s{args.s}-seed{args.seed}.dcin"
+    _check_out_paths(out)
+    inst = generate_instance(args.m, args.n, args.s, noise_scale=args.noise, seed=args.seed)
     save_instance(inst, out)
     print(out)
     return 0
@@ -53,6 +64,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         restart_period=args.restart or None,
         adaptive_restart=not args.no_adaptive,
     )
+    _check_out_paths(args.trace)
     inst = load_instance(args.instance)
     est = lmax_gram(inst.A)
     if not est.converged:
@@ -72,6 +84,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.plan) as fh:
         plan = parse_plan(fh.read())
+    _check_out_paths(args.out_csv, args.out_md)
     try:
         records = run_benchmark(plan)
     except InvariantViolation as exc:

@@ -109,8 +109,9 @@ class RandomSource:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection; exact, no modulo bias."""
-        if not _is_count(bound):
-            raise ValueError(f"bound must be a positive integer, got {bound!r}")
+        # above 2**64 the accepted range would be empty and the loop endless
+        if not (_is_count(bound) and bound <= 1 << 64):
+            raise ValueError(f"bound must be a positive integer at most 2**64, got {bound!r}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = int(self.raw(1)[0])

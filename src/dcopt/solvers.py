@@ -8,6 +8,9 @@ returns A x^{t+1}, which feeds the objective trace, and the next gradient
 A.T (A y^{t+1} - b), forming A y^{t+1} = A x^{t+1} + beta_{t+1} (A x^{t+1} -
 A x^t) block by block itself; so tracing adds no matvecs. gist performs one
 transposed matvec per iteration and one matvec per backtracking trial.
+Along pdca iterates the merit E(x, y) = F(x) + (L/2)||x - y||^2 falls by at
+least (L/2)(1 - beta_t^2)||x^t - x^{t-1}||^2 per step; `check_descent`
+rebuilds E from a run's traces and replays them against that inequality.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ _GIST_L_MAX = 1e8
 _GIST_L0_FIRST = 1.0
 
 
+def _check_L(value, name: str = "L") -> None:
+    if not (_is_real(value) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str
@@ -46,15 +54,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in SOLVERS:
             raise ValueError(f"algorithm must be one of {SOLVERS}")
-        if not (_is_real(self.tol) and 0 < self.tol < math.inf):
-            raise ValueError("tol must be positive and finite")
+        _check_L(self.tol, "tol")
         if not _is_count(self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
         if self.restart_period is not None and not _is_count(self.restart_period):
             raise ValueError("restart_period must be an integer >= 1 when present")
-        L = self.L_override
-        if L is not None and not (_is_real(L) and 0 < L < math.inf):
-            raise ValueError("L_override must be positive and finite")
+        if self.L_override is not None:
+            _check_L(self.L_override, "L_override")
 
 
 @dataclass(frozen=True)
@@ -231,3 +237,65 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
         wall_seconds=wall,
         message=message,
     )
+
+
+@dataclass(frozen=True)
+class DescentReport:
+    violations: int
+    max_violation: float
+
+
+def merit(result: SolveResult, L: float) -> np.ndarray:
+    """E_t = F(x^t) + (L/2)||x^t - x^{t-1}||^2 for t = 0..iterations.
+
+    Computed from the objective and step traces with the L given here; the
+    incoming step at t = 0 is zero because x^0 = x^{-1}, so E_0 = F(x^0).
+    """
+    step_in = np.concatenate(([0.0], result.step_norm_trace))
+    return np.asarray(result.objective_trace, dtype=np.float64) + 0.5 * L * step_in * step_in
+
+
+def check_descent(result: SolveResult, L: float) -> DescentReport:
+    """Replay a pdca_e/pdca run's traces against the per-step descent bound.
+
+    Checks E_t - E_{t+1} >= (L/2)(1 - beta_t^2) * ||x^t - x^{t-1}||^2 for
+    every step, with E the merit above and slack 1e-8 * max(1, |E_0|). Every
+    beta_t < 1, so a run without violations also has a merit that never rises
+    by more than the slack.
+    """
+    _check_L(L)
+    if result.beta_trace is None:
+        raise ValueError("check_descent needs a pdca_e or pdca run")
+    T = result.iterations
+    sizes = (len(result.objective_trace), T, len(result.beta_trace))
+    if sizes != (T + 1, T, T):
+        raise ValueError(f"trace lengths {sizes} inconsistent with iterations={T}")
+
+    E = merit(result, L)
+    betas = np.asarray(result.beta_trace, dtype=np.float64)
+    step_in = np.concatenate(([0.0], result.step_norm_trace))[:T]
+    slack = 1e-8 * max(1.0, abs(float(E[0])))
+    shortfall = 0.5 * L * (1.0 - betas * betas) * (step_in * step_in) - (E[:-1] - E[1:])
+    # a NaN shortfall (from a non-finite merit) is neither a violation nor a maximum
+    return DescentReport(int(np.count_nonzero(shortfall > slack)),
+                         float(shortfall[shortfall > 0.0].max(initial=0.0)))
+
+
+def stationarity_residual(
+    inst: ProblemInstance,
+    spec: RegularizerSpec,
+    x: np.ndarray,
+    L: float,
+) -> float:
+    """||x - prox step at x|| / max(1, ||x||) with the solver's subgradient choice.
+
+    The map is p1_prox(x - (1/L)(grad f(x) - xi), 1/L) with xi = p2_subgrad(x);
+    the value is 0 exactly when x is a fixed point of the iterate map, which
+    implies stationarity of the DC objective.
+    """
+    _check_L(L)
+    x = np.asarray(x, dtype=np.float64)
+    grad = inst.A.T @ (inst.A @ x - inst.b)
+    xi = p2_subgrad(spec, x)
+    mapped = p1_prox(spec, x - (grad - xi) / L, 1.0 / L)
+    return float(np.linalg.norm(x - mapped)) / max(1.0, float(np.linalg.norm(x)))

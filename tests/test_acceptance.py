@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from dcopt.bench import BenchmarkPlan, cell_rows, nontiming_fingerprint, run_benchmark
-from dcopt.diagnostics import check_descent
 from dcopt.instances import generate_instance, l12_lambda_bound
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import (
@@ -32,7 +31,7 @@ from dcopt.regularizers import (
     full_prox,
     p2_subgrad,
 )
-from dcopt.solvers import ExtrapolationState, SolverConfig, next_beta, solve
+from dcopt.solvers import ExtrapolationState, SolverConfig, check_descent, next_beta, solve
 
 from oracles import (
     fd_gradient,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -25,10 +26,9 @@ from dcopt.bench import (
     replicate_seed,
     run_benchmark,
 )
-from dcopt.diagnostics import DescentReport
 from dcopt.instances import l12_lambda_bound
 from dcopt.linalg import LmaxResult
-from dcopt.solvers import objective, solve
+from dcopt.solvers import DescentReport, objective, solve
 
 TINY_PLAN = BenchmarkPlan(
     grid=((20, 50, 3),),
@@ -228,6 +228,17 @@ class TestReplicateSeed:
             with pytest.raises(ValueError, match="seed must be an integer in"):
                 replicate_seed(seed, 720, 2560, 80, 0)
 
+    @pytest.mark.parametrize("replicate", [True, -1, 2**64, 1.0])
+    def test_replicate_index_is_a_seed(self, replicate):
+        # True gave replicate 1's seed and -1 that of 2**64 - 1
+        with pytest.raises(ValueError, match="replicate must be an integer in"):
+            replicate_seed(0, 720, 2560, 80, replicate)
+
+    @pytest.mark.parametrize("cell", [(0, 20, 2), (10, -20, 2), (10, 20, True), (10, 20.0, 2)])
+    def test_cell_dimensions_are_counts(self, cell):
+        with pytest.raises(ValueError, match="m, n, s must be integers >= 1"):
+            replicate_seed(0, *cell, 0)
+
 
 class TestRunRecord:
     @pytest.mark.parametrize(("bound", "admissible"),
@@ -417,6 +428,15 @@ def _fingerprint_pin_skip_reason() -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def family_records(reg: str) -> tuple[RunRecord, ...]:
+    """The records of one family's 60x200x8 plan, run once per process: the pinned
+    digests and the in-process side of the cross-feature check share them."""
+    plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg=reg,
+                         instances_per_cell=2, master_seed=3)
+    return tuple(run_benchmark(plan))
+
+
 @pytest.mark.parametrize(
     ("reg", "digest"),
     [
@@ -432,9 +452,7 @@ def test_per_family_fingerprint_is_pinned(reg, digest):
     reason = _fingerprint_pin_skip_reason()
     if reason:
         pytest.skip(reason)
-    plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg=reg,
-                         instances_per_cell=2, master_seed=3)
-    text = nontiming_fingerprint(run_benchmark(plan))
+    text = nontiming_fingerprint(list(family_records(reg)))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -447,11 +465,9 @@ def feature_runs() -> dict:
     status, F) for every run of a small plan per family."""
     runs = []
     for reg in ("l1-l2", "log:eps=0.5", "mcp:theta=2.5", "scad:theta=3.7", "tl1:a=1.0"):
-        plan = BenchmarkPlan(grid=[(60, 200, 8)], lambdas=[1e-3, 5e-3], reg=reg,
-                             instances_per_cell=2, master_seed=3)
         family = reg.partition(":")[0]
         runs += [[family, r.solver, r.replicate, r.lam, r.iterations, r.status, r.fval]
-                 for r in run_benchmark(plan)]
+                 for r in family_records(reg)]
     return {"found": _simd_found(), "runs": runs}
 
 

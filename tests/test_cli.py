@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 
 from dcopt.cli import main
-from dcopt.diagnostics import DescentReport, merit
 from dcopt.instances import generate_instance, load_instance, save_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import parse_reg
-from dcopt.solvers import SOLVERS, SolverConfig, solve
+from dcopt.solvers import SOLVERS, DescentReport, SolverConfig, merit, solve
 from oracles import merit_loop
 
 TINY_PLAN_TEXT = """\
@@ -111,6 +110,17 @@ class TestGen:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: seed must be an integer in [0, 2**64)")
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["missing/inst.dcin", "."])
+    def test_unwritable_out_fails_before_the_draw(self, monkeypatch, workdir, out):
+        monkeypatch.setattr("dcopt.cli.generate_instance",
+                            lambda *a, **kw: pytest.fail("generate_instance ran"))
+        rc, stdout, err = run_cli("gen", "--m", "8", "--n", "20", "--s", "2", "--seed", "1",
+                                  "--out", out)
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith(f"error: output path {out!r}")
         assert list(workdir.iterdir()) == []
 
     def test_console_script_installed(self, workdir, dcopt_script):
@@ -230,6 +240,17 @@ class TestSolve:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("trace", ["missing/trace.csv", "."])
+    def test_unwritable_trace_fails_before_L_is_computed(self, monkeypatch, workdir,
+                                                         instance_path, trace):
+        monkeypatch.setattr("dcopt.cli.lmax_gram", lambda A: pytest.fail("lmax_gram ran"))
+        rc, out, err = run_cli("solve", "--instance", instance_path, "--reg", "l1-l2:lambda=1e-3",
+                               "--solver", "pdca", "--trace", trace)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: output path {trace!r}")
+        assert [p.name for p in workdir.iterdir()] == [instance_path]
 
     def test_unconverged_L_is_reported_once(self, monkeypatch, caplog, instance_path):
         monkeypatch.setattr("dcopt.linalg._LMAX_MAX_ITER", 3)
@@ -362,6 +383,19 @@ class TestBench:
                        "(max shortfall 5.000e-01) by pdca_e on cell (20, 50, 3) rep 0 "
                        "lam 0.001\n")
         assert not (workdir / "out.csv").exists()
+
+    @pytest.mark.parametrize("outputs", [("missing/t.csv",), ("out.csv", "missing/t.md"),
+                                         (".",), ("out.csv", ".")])
+    def test_unwritable_output_fails_before_the_plan_runs(self, monkeypatch, workdir, outputs):
+        monkeypatch.setattr("dcopt.cli.run_benchmark", lambda plan: pytest.fail("plan ran"))
+        (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
+        flags = ("--out-csv", "--out-md")
+        options = [o for flag, path in zip(flags, outputs) for o in (flag, path)]
+        rc, out, err = run_cli("bench", "--plan", "tiny.plan", *options)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: output path {outputs[-1]!r}")
+        assert [p.name for p in workdir.iterdir()] == ["tiny.plan"]
 
     def test_malformed_plan_is_exit_2(self, workdir):
         (workdir / "bad.plan").write_text("grid = 10x20\nseed = 0\n")

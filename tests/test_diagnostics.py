@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from dcopt.diagnostics import DescentReport, check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance
 from dcopt.regularizers import MCP, L1MinusL2, LogPenalty, TransformedL1
-from dcopt.solvers import SolverConfig, solve
+from dcopt.solvers import DescentReport, SolverConfig, check_descent, solve, stationarity_residual
 from oracles import descent_audit_loop, merit_loop
 
 

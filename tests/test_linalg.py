@@ -125,6 +125,17 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="bound must be a positive integer"):
             RandomSource(0, 0).randbelow(bound)
 
+    def test_randbelow_rejects_a_bound_above_2_64(self, monkeypatch):
+        # limit = 2**64 - 2**64 % bound was 0, so every word was rejected forever
+        src = RandomSource(0, 0)
+        monkeypatch.setattr(src, "raw", lambda count: pytest.fail("randbelow drew a word"))
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            src.randbelow(2**64 + 1)
+
+    def test_randbelow_takes_2_64(self):
+        # the whole word is accepted, so the draw is the first raw word
+        assert RandomSource(4, 2).randbelow(2**64) == int(RandomSource(4, 2).raw(1)[0])
+
     @pytest.mark.parametrize("count", [2.5, 2.0, True, -1])
     def test_raw_takes_an_integer_count(self, count):
         # 2.5 drew three words and left the counter at 2.5, so the next

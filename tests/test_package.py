@@ -39,6 +39,14 @@ def test_readme_quick_start_names_are_exported():
     assert sorted(names - set(dcopt.__all__)) == []
 
 
+def test_readme_layout_lists_every_module():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Layout\n\n```\n(.*?)```", readme, re.S).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = [p.name for p in (ROOT / "src" / "dcopt").glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
+
+
 def test_instances_imports_only_linalg_from_the_package():
     # the instance data layer knows nothing of regularizers or solvers
     tree = ast.parse((ROOT / "src" / "dcopt" / "instances.py").read_text())

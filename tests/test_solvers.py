@@ -14,12 +14,12 @@ import pytest
 
 from dcopt import replicate_seed
 from dcopt import solvers as solvers_module
-from dcopt.diagnostics import check_descent, stationarity_residual
 from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
-from dcopt.solvers import SOLVERS, ExtrapolationState, SolverConfig, next_beta, objective, solve
-from oracles import grid_min_1d, merit_loop, textbook_pdca
+from dcopt.solvers import (SOLVERS, ExtrapolationState, SolverConfig, check_descent, next_beta,
+                           objective, solve, stationarity_residual)
+from oracles import grid_min_1d, merit_loop, textbook_gist, textbook_pdca
 
 ALL_SPECS = [
     L1MinusL2(1e-3),
@@ -369,13 +369,16 @@ def textbook_case(m, n, s):
     return inst, lmax_gram(inst.A).value
 
 
+TEXTBOOK_SIZES = pytest.mark.parametrize("size", [(60, 200, 8), (120, 400, 12), (200, 800, 20)],
+                                         ids=lambda size: "x".join(map(str, size)))
+
+
 class TestTextbookTrajectory:
-    """solve's pdca family against the paper's loop written afresh (oracles.textbook_pdca)."""
+    """solve against the papers' loops written afresh (oracles.textbook_pdca, textbook_gist)."""
 
     @pytest.mark.parametrize("algorithm", ["pdca_e", "pdca"])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
-    @pytest.mark.parametrize("size", [(60, 200, 8), (120, 400, 12), (200, 800, 20)],
-                             ids=lambda size: "x".join(map(str, size)))
+    @TEXTBOOK_SIZES
     def test_solve_follows_the_textbook_loop(self, monkeypatch, size, spec, algorithm):
         inst, L = textbook_case(*size)
         # call k of next_beta forms beta_k: call 0 before the loop, call t + 1 after step t
@@ -401,6 +404,18 @@ class TestTextbookTrajectory:
             assert np.array_equal(res.beta_trace, ref.beta_trace)
         else:
             assert not resets and not res.beta_trace.any() and not ref.restarts
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    @TEXTBOOK_SIZES
+    def test_gist_follows_the_textbook_loop(self, size, spec):
+        inst, _ = textbook_case(*size)
+        res = solve(inst, spec, SolverConfig(algorithm="gist"))
+        ref = textbook_gist(inst, spec)
+        assert (res.iterations, res.status) == (len(ref.step_norm_trace), ref.status)
+        F, F_ref = res.objective_trace, ref.objective_trace
+        assert np.all(np.abs(F - F_ref) <= 1e-10 * np.abs(F_ref))
+        gap = np.linalg.norm(res.x_final - ref.x_final)
+        assert gap <= 1e-9 * max(1.0, np.linalg.norm(ref.x_final))
 
 
 def desk_results() -> str:
