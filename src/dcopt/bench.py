@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .instances import generate_instance, l12_lambda_bound
-from .linalg import _is_count, _is_seed, combine_seed, lmax_gram
+from .linalg import _check_cell, _is_count, _is_seed, combine_seed, lmax_gram
 from .regularizers import parse_reg
 from .solvers import SOLVERS, SolverConfig, check_descent, solve, stationarity_residual
 
@@ -37,8 +37,7 @@ class BenchmarkPlan:
         if not self.grid:
             raise ValueError("plan grid must be nonempty")
         for m, n, s in self.grid:
-            if not (all(map(_is_count, (m, n, s))) and s <= n):
-                raise ValueError(f"grid cell {m}x{n}x{s}: need integers m, s >= 1 and s <= n")
+            _check_cell(m, n, s)
         if not self.lambdas:
             raise ValueError("plan needs at least one lambda")
         if not _is_count(self.instances_per_cell):
@@ -177,8 +176,7 @@ def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> 
     for name, value in (("master seed", master_seed), ("replicate", replicate)):
         if not _is_seed(value):
             raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    if not all(map(_is_count, (m, n, s))):
-        raise ValueError(f"m, n, s must be integers >= 1, got {m!r}, {n!r}, {s!r}")
+    _check_cell(m, n, s)
     return combine_seed(master_seed, m, n, s, replicate)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomSource, _is_count, _is_real, _is_seed, gauss_vector
+from .linalg import RandomSource, _check_cell, _is_real, _is_seed, gauss_vector
 
 _STREAM_A = 0
 _STREAM_SUPPORT = 1
@@ -27,7 +27,8 @@ _STREAM_NOISE = 3
 # Words of A drawn per gauss_vector call. Even, so every block but the last
 # consumes whole Box-Muller pairs and the blocks concatenate to the one-shot
 # draw of the counter-based stream, however they are split between workers.
-# A call's temporaries peak at twice its block, 1 MiB per worker.
+# A block is drawn in place in A with one scratch of its size per worker
+# (512 KiB), which the calling thread allocates and frees.
 _BLOCK_WORDS = 1 << 16
 
 
@@ -135,26 +136,28 @@ def generate_instance(
     support in ascending index order (stream 2), then b = A y + noise_scale * noise
     (stream 3).
     """
-    if not (all(map(_is_count, (m, n, s))) and s <= n):
-        raise ValueError(f"need integers m, n, s >= 1 and s <= n, got ({m}, {n}, {s})")
+    _check_cell(m, n, s)
     _check_seed_and_noise(seed, noise_scale)
 
     A = np.empty((m, n))
     words = A.reshape(-1)
 
-    def fill(run: range) -> None:
+    def fill(run: range, scratch: np.ndarray) -> None:
         src_a = RandomSource(seed, _STREAM_A)
         src_a.counter = run.start  # word k of the stream depends on (seed, k) only
         for i in run:
             block = words[i : i + _BLOCK_WORDS]
-            block[:] = gauss_vector(src_a, block.size)
+            gauss_vector(src_a, block.size, out=block, scratch=scratch)
 
-    # one run of whole blocks per CPU, each in a worker: the main arena would refault temporaries
+    # one run of whole blocks per CPU, each in a worker, with a scratch from this
+    # thread: a worker's arena would keep block-sized temporaries for good
     blocks = range(0, m * n, _BLOCK_WORDS)
     k = min(_cpus(), len(blocks))
     runs = [blocks[j * len(blocks) // k : (j + 1) * len(blocks) // k] for j in range(k)]
+    scratches = [np.empty(_BLOCK_WORDS, dtype=np.uint64) for _ in runs]
     with ThreadPoolExecutor(k) as pool:  # joins every worker, also when a run raises
-        done = [pool.submit(fill, run) for run in runs]
+        done = [pool.submit(fill, run, t) for run, t in zip(runs, scratches)]
+    del scratches
     for future in done:  # in run order; pool.map would cancel the runs not yet started
         future.result()
     A /= _column_norms(A)  # an all-zero column turns NaN, which ProblemInstance rejects

@@ -22,12 +22,17 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+# (k + 1) * GAMMA for k < _STEP_WORDS: word start + k + 1 of a stream is its state
+# + start * GAMMA plus step k, so a run of counters is one add per table length
+_STEP_WORDS = 1 << 13
+_STEPS = np.arange(1, _STEP_WORDS + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer on an integer, reduced mod 2^64."""
     # operator.index turns a numpy integer into a Python int, whose & cannot overflow
-    return int(_mix64_array(np.array([operator.index(z) & _MASK], dtype=np.uint64))[0])
+    z = np.array([operator.index(z) & _MASK], dtype=np.uint64)
+    return int(_mix64_array(z, np.empty_like(z))[0])
 
 
 def combine_seed(*parts: int) -> int:
@@ -42,10 +47,9 @@ def combine_seed(*parts: int) -> int:
     return h
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # mixes the uint64 array z in place with one scratch array and returns it;
-    # uint64 array arithmetic wraps mod 2^64 without a warning
-    t = np.empty_like(z)
+def _mix64_array(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # mixes the uint64 array z in place, with t (z's size) for the shifts, and
+    # returns it; uint64 array arithmetic wraps mod 2^64 without a warning
     z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=t)
@@ -63,6 +67,13 @@ def _is_seed(value) -> bool:
 def _is_count(value, least: int = 1) -> bool:
     # bool is an Integral, but True would silently mean a count of 1
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _check_cell(m, n, s) -> None:
+    # the one rule for a problem shape, at every boundary that takes one
+    if not (all(map(_is_count, (m, n, s))) and s <= n):
+        raise ValueError(f"grid cell m={m!r}, n={n!r}, s={s!r}: "
+                         "m, n, s must be integers >= 1 and s <= n")
 
 
 def _is_real(value) -> bool:
@@ -100,12 +111,17 @@ class RandomSource:
         """Next `count` raw 64-bit words as a uint64 array."""
         if not _is_count(count, 0):
             raise ValueError(f"count must be a non-negative integer, got {count!r}")
-        start = self.counter
-        self.counter += count
-        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.state)
-        return _mix64_array(z)
+        z = np.empty(count, dtype=np.uint64)
+        return self._fill(z, np.empty_like(z))
+
+    def _fill(self, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # the next z.size words into the uint64 array z, with t (z's size) as scratch
+        base = self.state + self.counter * _GAMMA
+        self.counter += z.size
+        for i in range(0, z.size, _STEP_WORDS):
+            step = np.uint64((base + i * _GAMMA) & _MASK)
+            np.add(_STEPS[: z.size - i], step, out=z[i : i + _STEP_WORDS])
+        return _mix64_array(z, t)
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection; exact, no modulo bias."""
@@ -119,23 +135,39 @@ class RandomSource:
                 return r % bound
 
 
-def gauss_vector(src: RandomSource, length: int) -> np.ndarray:
-    """`length` i.i.d. N(0,1) draws via Box-Muller, advancing `src`.
+def gauss_vector(src: RandomSource, length: int, *, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """`length` i.i.d. N(0,1) draws via Box-Muller, advancing `src`; returns `out`.
 
     Each pair of outputs consumes two raw words x, y:
     u1 = ((x >> 11) + 1) * 2^-53 in (0, 1], u2 = (y >> 11) * 2^-53 in [0, 1),
     then (r cos a, r sin a) with r = sqrt(-2 log u1), a = 2 pi u2. Odd lengths
-    still consume a full final pair. r and a overwrite u1 and u2 in place, in the
-    formula's operation order (IEEE * commutes), and the raw words are freed
-    before the output exists, so a call peaks near twice its output.
+    still consume a full final pair.
+
+    The draw runs in place in `out`, a C-contiguous float64 array of `length`
+    entries: the raw words are written into it as uint64, mixed, shifted and
+    converted there, and u1, u2 become r and a in place, in the formula's
+    operation order (IEEE * commutes). `scratch`, a C-contiguous uint64 array
+    of at least `length` entries, holds the mix's shifts and then the cosines.
+    Either one is allocated when not given, so a call without them peaks near
+    twice its output and a call with both allocates nothing of their size.
     """
     if not _is_count(length):
         raise ValueError(f"length must be an integer >= 1, got {length!r}")
-    npairs = (length + 1) // 2
-    bits = src.raw(2 * npairs)
+    if out is None:
+        out = np.empty(length)
+    if scratch is None:
+        scratch = np.empty(length, dtype=np.uint64)
+    if not (out.dtype == np.float64 and out.shape == (length,) and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of length {length}")
+    if not (scratch.dtype == np.uint64 and scratch.ndim == 1 and scratch.size >= length
+            and scratch.flags.c_contiguous):
+        raise ValueError(f"scratch must be a C-contiguous uint64 array of at least {length} words")
+    even = length - length % 2
+    u = out[:even]
+    bits = src._fill(u.view(np.uint64), scratch[:even])
     bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    del bits
+    np.copyto(u, bits, casting="unsafe")  # word k is read before float k is written
     r, ang = u[0::2], u[1::2]
     r += 1.0
     r *= 2.0 ** -53
@@ -144,11 +176,14 @@ def gauss_vector(src: RandomSource, length: int) -> np.ndarray:
     np.sqrt(r, out=r)
     ang *= 2.0 ** -53
     ang *= 2.0 * np.pi
-    out = np.empty(2 * npairs)
-    for half, trig in ((out[0::2], np.cos), (out[1::2], np.sin)):
-        trig(ang, out=half)
-        half *= r
-    return out[:length]
+    cos = scratch[: r.size].view(np.float64)
+    np.cos(ang, out=cos)
+    np.sin(ang, out=ang)
+    ang *= r
+    r *= cos
+    if even < length:  # the final pair of an odd length: out has no room for its sine
+        out[even] = gauss_vector(src, 2)[0]
+    return out
 
 
 class LmaxResult(NamedTuple):

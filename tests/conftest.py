@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,6 +18,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# The last bits of numpy's log, power, cbrt and arccos depend on the numpy build
+# and on the SIMD kernels it dispatches to, so the pins hold for one of each.
+_PINNED_NUMPY = "2.4.6"
+_PINNED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+
+
+@pytest.fixture
+def pinned_bits():
+    """Skips a test that pins digests unless numpy and its SIMD dispatch are the pinned ones."""
+    if np.__version__ != _PINNED_NUMPY:
+        pytest.skip(f"fingerprints are pinned for numpy {_PINNED_NUMPY}, not {np.__version__}")
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    if found != _PINNED_SIMD:
+        pytest.skip(f"fingerprints are pinned for SIMD features {_PINNED_SIMD}, not {found}")
+    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+        pytest.skip("NPY_DISABLE_CPU_FEATURES changes numpy's SIMD dispatch")
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from dcopt.bench import (
     replicate_seed,
     run_benchmark,
 )
-from dcopt.instances import l12_lambda_bound
+from dcopt.instances import generate_instance, l12_lambda_bound
 from dcopt.linalg import LmaxResult
 from dcopt.solvers import DescentReport, objective, solve
 
@@ -176,6 +176,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="grid cell"):
             BenchmarkPlan(grid=((10, 20, 2), cell), lambdas=(1e-3,), reg="l1-l2")
 
+    def test_cell_message_names_every_dimension(self):
+        # it named m and s only, though n was the bad value
+        with pytest.raises(ValueError, match=r"grid cell m=5, n=2\.5, s=1: m, n, s must be"):
+            BenchmarkPlan(grid=[(5, 2.5, 1)], lambdas=(1e-3,), reg="l1-l2")
+        with pytest.raises(ValueError, match=r"grid cell m=5, n=2\.5, s=1: m, n, s must be"):
+            generate_instance(5, 2.5, 1)
+
     @pytest.mark.parametrize("count", [True, 1.5, 2.0, -1])
     def test_instances_must_be_a_count(self, count):
         with pytest.raises(ValueError, match="instances_per_cell"):
@@ -234,9 +241,11 @@ class TestReplicateSeed:
         with pytest.raises(ValueError, match="replicate must be an integer in"):
             replicate_seed(0, 720, 2560, 80, replicate)
 
-    @pytest.mark.parametrize("cell", [(0, 20, 2), (10, -20, 2), (10, 20, True), (10, 20.0, 2)])
+    @pytest.mark.parametrize("cell", [(0, 20, 2), (10, -20, 2), (10, 20, True), (10, 20.0, 2),
+                                      (5, 3, 10)])
     def test_cell_dimensions_are_counts(self, cell):
-        with pytest.raises(ValueError, match="m, n, s must be integers >= 1"):
+        # s > n used to get a seed that generate_instance then rejected
+        with pytest.raises(ValueError, match="m, n, s must be integers >= 1 and s <= n"):
             replicate_seed(0, *cell, 0)
 
 
@@ -411,23 +420,6 @@ class TestFingerprint:
         assert render_table(rebuilt, "csv") == render_table(tiny_records, "csv")
 
 
-# The last bits of numpy's log, power, cbrt and arccos depend on the numpy build
-# and on the SIMD kernels it dispatches to, so the pins hold for one of each.
-_PINNED_NUMPY = "2.4.6"
-_PINNED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
-
-
-def _fingerprint_pin_skip_reason() -> str | None:
-    if np.__version__ != _PINNED_NUMPY:
-        return f"fingerprints are pinned for numpy {_PINNED_NUMPY}, not {np.__version__}"
-    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    if found != _PINNED_SIMD:
-        return f"fingerprints are pinned for SIMD features {_PINNED_SIMD}, not {found}"
-    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
-        return "NPY_DISABLE_CPU_FEATURES changes numpy's SIMD dispatch"
-    return None
-
-
 @functools.lru_cache(maxsize=None)
 def family_records(reg: str) -> tuple[RunRecord, ...]:
     """The records of one family's 60x200x8 plan, run once per process: the pinned
@@ -448,10 +440,7 @@ def family_records(reg: str) -> tuple[RunRecord, ...]:
     ],
     ids=["l1-l2", "log", "mcp", "scad", "tl1"],
 )
-def test_per_family_fingerprint_is_pinned(reg, digest):
-    reason = _fingerprint_pin_skip_reason()
-    if reason:
-        pytest.skip(reason)
+def test_per_family_fingerprint_is_pinned(pinned_bits, reg, digest):
     text = nontiming_fingerprint(list(family_records(reg)))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 

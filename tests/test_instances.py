@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import dcopt
-from dcopt import instances
+from dcopt import instances, replicate_seed
 from dcopt.instances import (
     ProblemInstance,
     _column_norms,
@@ -149,7 +151,7 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf, True])
     def test_rejects_bad_noise_scale_before_drawing_A(self, monkeypatch, noise_scale):
-        def no_draw(*args):
+        def no_draw(*args, **kwargs):
             raise AssertionError("A was drawn before noise_scale was checked")
 
         monkeypatch.setattr(instances, "gauss_vector", no_draw)
@@ -158,7 +160,8 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2**64"])
     def test_rejects_seed_outside_u64_before_drawing_A(self, monkeypatch, seed):
-        monkeypatch.setattr(instances, "gauss_vector", lambda *args: pytest.fail("A was drawn"))
+        monkeypatch.setattr(instances, "gauss_vector",
+                            lambda *args, **kwargs: pytest.fail("A was drawn"))
         with pytest.raises(ValueError, match="seed must be an integer in"):
             generate_instance(4, 6, 2, seed=seed)
 
@@ -184,8 +187,8 @@ class TestGenerateInstance:
     def test_zero_column_is_rejected_not_redrawn(self, monkeypatch):
         real = instances.gauss_vector
 
-        def zero_last_column(src, length):
-            out = real(src, length)
+        def zero_last_column(src, length, **kwargs):
+            out = real(src, length, **kwargs)
             if length == 4 * 6:  # only the draw of A
                 out.reshape(4, 6)[:, -1] = 0.0
             return out
@@ -234,9 +237,9 @@ class TestParallelDraw:
         real = instances.gauss_vector
         calls = []
 
-        def record(src, length):
+        def record(src, length, **kwargs):
             calls.append((src.counter, length, src))
-            return real(src, length)
+            return real(src, length, **kwargs)
 
         monkeypatch.setattr(instances, "_cpus", lambda: cpus)
         monkeypatch.setattr(instances, "gauss_vector", record)
@@ -256,10 +259,10 @@ class TestParallelDraw:
         real = instances.gauss_vector
         drawers = []
 
-        def record(src, length):
+        def record(src, length, **kwargs):
             if src.stream_id == 0:
                 drawers.append(threading.get_ident())
-            return real(src, length)
+            return real(src, length, **kwargs)
 
         monkeypatch.setattr(instances, "_cpus", lambda: cpus)
         monkeypatch.setattr(instances, "gauss_vector", record)
@@ -275,12 +278,12 @@ class TestParallelDraw:
         bad = 0 if failing == "first" else BLOCK
         finished = []
 
-        def flaky(src, length):
+        def flaky(src, length, **kwargs):
             start = src.counter
             if start == bad:
                 raise RuntimeError(f"block at word {start} failed")
             time.sleep(0.05)  # the other block is still running when the bad one fails
-            out = real(src, length)
+            out = real(src, length, **kwargs)
             finished.append(start)
             return out
 
@@ -291,6 +294,35 @@ class TestParallelDraw:
             generate_instance(2, BLOCK // 2 + 1, 2, seed=11)
         assert threading.active_count() == threads
         assert finished == [BLOCK - bad]
+
+
+class TestDrawInPlace:
+    """A's blocks are drawn in A itself, each worker with one scratch from the caller."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draw_peaks_at_A_plus_one_scratch_per_worker(self, monkeypatch, cpus):
+        # each worker's own gauss_vector temporaries used to add a block apiece
+        monkeypatch.setattr(instances, "_cpus", lambda: cpus)
+        generate_instance(720, 2560, 80, seed=1)  # numpy's lazy set-up allocates once
+        tracemalloc.start()
+        try:
+            inst = generate_instance(720, 2560, 80, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= inst.A.nbytes + cpus * 8 * BLOCK + 64 * 1024
+
+    @pytest.mark.parametrize(("m", "n", "s", "seed", "digest_A", "digest_b"), [
+        (720, 2560, 80, replicate_seed(0, 720, 2560, 80, 0), "27c8aaa3a9178cf1",
+         "e9d29c5ca6e39c77"),
+        (333, 1001, 17, 5, "29201e940fa716d3", "777b503b52c4a7b1"),
+    ], ids=["desk", "odd-multi-block"])
+    def test_pinned_bits(self, pinned_bits, m, n, s, seed, digest_A, digest_b):
+        # the desk A is the one behind perfbench's pinned L, 29 blocks split between the
+        # workers; 333 x 1001 is 5 whole blocks and 5653 words, ending in half a pair
+        inst = generate_instance(m, n, s, seed=seed)
+        for arr, digest in ((inst.A, digest_A), (inst.b, digest_b)):
+            assert hashlib.sha256(arr.tobytes()).hexdigest()[:16] == digest
 
 
 class TestProblemInstanceValidation:
@@ -578,7 +610,7 @@ class TestPeakMemory:
         assert _peak_x_A("generate", "1024x4096x40") <= 1.5
 
     def test_generate_on_8_cpus_peaks_near_A(self):
-        # each worker holds its own gauss_vector temporaries, 1.05 MB at their peak
+        # each worker draws with one 512 KiB scratch that the calling thread allocates
         assert _peak_x_A("generate-8cpus", "1024x4096x40") <= 1.5
 
     def test_load_peaks_near_A(self, tmp_path):

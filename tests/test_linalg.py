@@ -227,6 +227,34 @@ class TestGaussVector:
             tracemalloc.stop()
         assert peak <= 2.5 * out.nbytes
 
+    @pytest.mark.parametrize("length", [2**16, 2**16 - 1])
+    def test_call_into_a_block_allocates_nothing_block_sized(self, length):
+        # generate_instance's form: into a view of A, with a worker's scratch
+        A, scratch = np.empty(length + 6), np.empty(2**16, dtype=np.uint64)
+        block = A[3 : 3 + length]
+        gauss_vector(RandomSource(1, 0), length, out=block, scratch=scratch)
+        tracemalloc.start()
+        try:
+            got = gauss_vector(RandomSource(1, 0), length, out=block, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is block
+        assert peak < 0.01 * block.nbytes
+        assert block.tobytes() == gauss_vector(RandomSource(1, 0), length).tobytes()
+
+    @pytest.mark.parametrize("out, scratch", [
+        (np.empty(7), None), (np.empty(8, dtype=np.float32), None), (np.empty(16)[::2], None),
+        (None, np.empty(7, dtype=np.uint64)), (None, np.empty(8)),
+        (None, np.empty(16, dtype=np.uint64)[::2]),
+    ], ids=["short-out", "float32-out", "strided-out", "short-scratch", "float-scratch",
+            "strided-scratch"])
+    def test_out_and_scratch_are_checked(self, out, scratch):
+        src = RandomSource(1, 0)
+        with pytest.raises(ValueError, match="out must be|scratch must be"):
+            gauss_vector(src, 8, out=out, scratch=scratch)
+        assert src.counter == 0
+
 
 class TestLmaxGram:
     def test_identity(self):

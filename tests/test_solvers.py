@@ -16,7 +16,8 @@ from dcopt import replicate_seed
 from dcopt import solvers as solvers_module
 from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.linalg import lmax_gram
-from dcopt.regularizers import MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, reg_value
+from dcopt.regularizers import (MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, full_prox,
+                                reg_value)
 from dcopt.solvers import (SOLVERS, ExtrapolationState, SolverConfig, check_descent, next_beta,
                            objective, solve, stationarity_residual)
 from oracles import grid_min_1d, merit_loop, textbook_gist, textbook_pdca
@@ -416,6 +417,24 @@ class TestTextbookTrajectory:
         assert np.all(np.abs(F - F_ref) <= 1e-10 * np.abs(F_ref))
         gap = np.linalg.norm(res.x_final - ref.x_final)
         assert gap <= 1e-9 * max(1.0, np.linalg.norm(ref.x_final))
+
+    @pytest.mark.parametrize("q", [3e-4, 3e-5])
+    def test_gist_accepts_at_the_papers_sigma(self, q):
+        # two unit columns at cosine 1 - q: the first trial (L_t = 1) lowers F by
+        # about (q / 2) ||d||^2, so sigma = 1e-4 accepts it at q = 3e-4 and rejects
+        # it at q = 3e-5, where 1e-3 and 1e-5 would each decide the other way
+        c = 1.0 - q
+        A = np.array([[1.0, c], [0.0, np.sqrt(1.0 - c * c)]])
+        inst = ProblemInstance(A, np.array([1.0, 0.0]), np.zeros(2), np.array([], int), 0, 0.0)
+        spec = L1MinusL2(1e-3)
+        d = full_prox(spec, A.T @ inst.b, 1.0)
+        drop = (objective(inst, spec, np.zeros(2)) - objective(inst, spec, d)) / (0.5 * d @ d)
+        assert 0.5 * q < drop < 2 * q
+        res = solve(inst, spec, SolverConfig(algorithm="gist"))
+        ref = textbook_gist(inst, spec)
+        assert (res.iterations, res.status) == (len(ref.step_norm_trace), ref.status)
+        F, F_ref = res.objective_trace, ref.objective_trace
+        assert np.all(np.abs(F - F_ref) <= 1e-10 * np.abs(F_ref))
 
 
 def desk_results() -> str:
