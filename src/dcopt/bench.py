@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .instances import generate_instance, l12_lambda_bound
-from .linalg import _check_cell, _is_count, _is_seed, combine_seed, lmax_gram
+from .linalg import _check_cell, _check_seed, _is_count, combine_seed, lmax_gram
 from .regularizers import parse_reg
 from .solvers import SOLVERS, SolverConfig, check_descent, solve, stationarity_residual
 
@@ -42,9 +42,7 @@ class BenchmarkPlan:
             raise ValueError("plan needs at least one lambda")
         if not _is_count(self.instances_per_cell):
             raise ValueError("instances_per_cell must be an integer >= 1")
-        if not _is_seed(self.master_seed):
-            raise ValueError("master_seed must be an integer in [0, 2**64), "
-                             f"got {self.master_seed!r}")
+        _check_seed(self.master_seed, "master_seed")
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
@@ -173,9 +171,8 @@ def cell_rows(records: list[RunRecord]) -> list[CellRow]:
 
 def replicate_seed(master_seed: int, m: int, n: int, s: int, replicate: int) -> int:
     """Stable instance seed; independent of the weight by construction."""
-    for name, value in (("master seed", master_seed), ("replicate", replicate)):
-        if not _is_seed(value):
-            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    _check_seed(master_seed, "master seed")
+    _check_seed(replicate, "replicate")
     _check_cell(m, n, s)
     return combine_seed(master_seed, m, n, s, replicate)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomSource, _check_cell, _is_real, _is_seed, gauss_vector
+from .linalg import RandomSource, _check_cell, _check_seed, _is_real, gauss_vector
 
 _STREAM_A = 0
 _STREAM_SUPPORT = 1
@@ -53,8 +53,7 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
 
 
 def _check_seed_and_noise(seed: int, noise_scale: float) -> None:
-    if not _is_seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_seed(seed, "seed")
     if not (_is_real(noise_scale) and 0 <= noise_scale < math.inf):
         raise ValueError("noise_scale must be non-negative and finite")
 

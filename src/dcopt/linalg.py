@@ -58,10 +58,12 @@ def _mix64_array(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _is_seed(value) -> bool:
-    # bool is an Integral, but True would silently mean seed 1
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and 0 <= value < 1 << 64)
+def _check_seed(value, name: str) -> None:
+    # the one rule for a seed or stream id; bool is an Integral, but True would
+    # silently mean seed 1
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 1 << 64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -79,6 +81,15 @@ def _check_cell(m, n, s) -> None:
 def _is_real(value) -> bool:
     # bool is a Real, but True would silently mean 1.0; callers add their range
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_positive(value, name: str) -> None:
+    # the one rule for a step constant, prox weight or tolerance: value and 1/value both
+    # exceed 2**-1024, whose reciprocal overflows, so 1/L passes wherever L does
+    if not (_is_real(value) and 2.0 ** -1024 < value < math.inf
+            and 2.0 ** -1024 < 1 / value < math.inf):
+        raise ValueError(f"{name} must be positive and finite with a finite reciprocal, "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -101,9 +112,8 @@ class RandomSource:
     counter: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
-            if not _is_seed(value := getattr(self, name)):
-                raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        _check_seed(self.seed, "seed")
+        _check_seed(self.stream_id, "stream_id")
         base = mix64(self.seed)
         self.state = mix64(base ^ mix64((operator.index(self.stream_id) + 1) * _GAMMA))
 

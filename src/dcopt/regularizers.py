@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import _is_real
+from .linalg import _check_positive, _is_real
 
 _TIE_TOL = 1e-12  # within this objective gap the smaller |u| wins: deterministic, sparse
 # Above this |z_i| the candidate formulas can overflow (TL1 cubes |z_i|, and
@@ -252,8 +252,7 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 
 def p1_prox(spec: RegularizerSpec, z: np.ndarray, mu: float) -> np.ndarray:
     """argmin_u 0.5 ||u-z||^2 + mu * P1(u); soft threshold at mu * w."""
-    if not (_is_real(mu) and 0 < mu < math.inf):
-        raise ValueError("mu must be positive and finite")
+    _check_positive(mu, "mu")
     z = np.asarray(z, dtype=np.float64)
     return soft_threshold(z, mu * spec.weight)
 
@@ -311,8 +310,7 @@ def full_prox(spec: RegularizerSpec, z: np.ndarray, L_t: float) -> np.ndarray:
     keep the best; l1-l2 uses its coupled vector solution. Exactness is
     guarded by the grid-oracle tests, not re-derived here.
     """
-    if not (_is_real(L_t) and 0 < L_t < math.inf):
-        raise ValueError("L_t must be positive and finite")
+    _check_positive(L_t, "L_t")
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")

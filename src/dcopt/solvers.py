@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import ProblemInstance
-from .linalg import _gemv_pair, _is_count, _is_real
+from .linalg import _check_positive, _gemv_pair, _is_count
 from .regularizers import RegularizerSpec, full_prox, p1_prox, p2_subgrad, reg_value
 
 SOLVERS = ("gist", "pdca_e", "pdca")
@@ -37,11 +37,6 @@ _GIST_L_MAX = 1e8
 _GIST_L0_FIRST = 1.0
 
 
-def _check_L(value, name: str = "L") -> None:
-    if not (_is_real(value) and 0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str
@@ -54,13 +49,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in SOLVERS:
             raise ValueError(f"algorithm must be one of {SOLVERS}")
-        _check_L(self.tol, "tol")
+        _check_positive(self.tol, "tol")
         if not _is_count(self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
         if self.restart_period is not None and not _is_count(self.restart_period):
             raise ValueError("restart_period must be an integer >= 1 when present")
         if self.L_override is not None:
-            _check_L(self.L_override, "L_override")
+            _check_positive(self.L_override, "L_override")
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,7 @@ def check_descent(result: SolveResult, L: float) -> DescentReport:
     beta_t < 1, so a run without violations also has a merit that never rises
     by more than the slack.
     """
-    _check_L(L)
+    _check_positive(L, "L")
     if result.beta_trace is None:
         raise ValueError("check_descent needs a pdca_e or pdca run")
     T = result.iterations
@@ -293,7 +288,7 @@ def stationarity_residual(
     the value is 0 exactly when x is a fixed point of the iterate map, which
     implies stationarity of the DC objective.
     """
-    _check_L(L)
+    _check_positive(L, "L")
     x = np.asarray(x, dtype=np.float64)
     grad = inst.A.T @ (inst.A @ x - inst.b)
     xi = p2_subgrad(spec, x)

@@ -5,7 +5,8 @@ behaviors: descent certificates on seeded runs, the two desk-scale benchmark
 tables landing in their expected bands, prox exactness against the grid
 oracle, gradient and subgradient analytics, the power-iteration eigenvalue
 against an independent dense route, the extrapolation schedule's range, the
-stationarity of converged iterates, and bit-for-bit reproducibility.
+stationarity of converged iterates, and bit-for-bit reproducibility, whose
+fingerprint is also pinned to its recorded digest.
 
 Criteria 2, 3, 8, and 9 share two benchmark tables built once per session;
 together they dominate the suite's runtime (several minutes).
@@ -308,3 +309,14 @@ def test_criterion_9_bitwise_reproducibility(table_l12):
     ok = first == second
     digest = hashlib.sha256(first.encode()).hexdigest()[:16]
     _report(9, ok, f"fingerprint sha256:{digest} {'==' if ok else '!='} rerun")
+
+
+# sha256 prefix of the l1-l2 desk plan's fingerprint under the pinned numpy build
+# and SIMD dispatch; criterion 9 alone would pass on any bits that rerun the same
+_L12_DESK_FINGERPRINT = "3cfa3702199cdaef"
+
+
+def test_criterion_9_fingerprint_is_pinned(table_l12, pinned_bits):
+    """The l1-l2 desk plan reproduces the recorded fingerprint, not only its own rerun."""
+    digest = hashlib.sha256(nontiming_fingerprint(table_l12[1]).encode()).hexdigest()[:16]
+    assert digest == _L12_DESK_FINGERPRINT

@@ -242,7 +242,7 @@ class TestP1Prox:
             assert got == pytest.approx(ref, abs=1e-6)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0, True])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0, True, 5e-324])
     def test_step_must_be_positive_and_finite(self, mu):
         # mu = nan soft-thresholded every entry to NaN
         with pytest.raises(ValueError, match="mu must be positive and finite"):
@@ -328,7 +328,7 @@ class TestP2Subgrad:
 class TestFullProx:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
-    @pytest.mark.parametrize("L_t", [math.nan, math.inf, 0.0, -1.0, True])
+    @pytest.mark.parametrize("L_t", [math.nan, math.inf, 0.0, -1.0, True, 5e-324])
     def test_step_must_be_positive_and_finite(self, spec, L_t):
         # L_t = nan made l1-l2 take its 1-sparse branch, and MCP and TL1 warn
         # before they raise

@@ -1,9 +1,11 @@
-"""The extrapolation schedule, both DC solvers, and the line-search baseline."""
+"""The extrapolation schedule, both DC solvers, the line-search baseline, and a pdca
+run's certificate: the descent audit and the stationarity residual."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +19,10 @@ from dcopt import solvers as solvers_module
 from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.linalg import lmax_gram
 from dcopt.regularizers import (MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1, full_prox,
-                                reg_value)
-from dcopt.solvers import (SOLVERS, ExtrapolationState, SolverConfig, check_descent, next_beta,
-                           objective, solve, stationarity_residual)
-from oracles import grid_min_1d, merit_loop, textbook_gist, textbook_pdca
+                                p1_prox, reg_value)
+from dcopt.solvers import (SOLVERS, DescentReport, ExtrapolationState, SolverConfig, check_descent,
+                           next_beta, objective, solve, stationarity_residual)
+from oracles import descent_audit_loop, grid_min_1d, merit_loop, textbook_gist, textbook_pdca
 
 ALL_SPECS = [
     L1MinusL2(1e-3),
@@ -65,11 +67,25 @@ class TestSolverConfig:
             # bool is a Real: True ran as tol 1, or as L = 1, where pdca diverged
             dict(algorithm="pdca", tol=True),
             dict(algorithm="pdca", L_override=True),
+            # 1/5e-324 overflows; as L it ran until p1_prox refused mu in the first step
+            dict(algorithm="pdca", tol=5e-324),
+            dict(algorithm="pdca_e", L_override=5e-324),
+            # the prox weight 1/L is inf, or 2**-1024, whose own reciprocal overflows
+            dict(algorithm="pdca_e", L_override=2.0 ** -1024),
+            dict(algorithm="pdca_e", L_override=sys.float_info.max),
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the field at fault
+        field = next((key for key in kwargs if key != "algorithm"), "algorithm")
+        with pytest.raises(ValueError, match=field):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("L", [math.nextafter(2.0 ** -1024, 1.0), 1e-300,
+                                   1.0 / math.nextafter(2.0 ** -1024, 1.0)])
+    def test_accepted_L_gives_an_accepted_step_weight(self, L):
+        SolverConfig(algorithm="pdca_e", L_override=L)
+        assert np.array_equal(p1_prox(L1MinusL2(0.0), np.ones(2), 1.0 / L), np.ones(2))
 
     @pytest.mark.parametrize("field", ["max_iter", "restart_period"])
     @pytest.mark.parametrize("value", [2.5, 200.0, True])
@@ -362,6 +378,132 @@ class TestSolversAgree:
             vals.append(objective(small_instance, spec, res.x_final))
         spread = (max(vals) - min(vals)) / max(1e-12, abs(min(vals)))
         assert spread <= 5e-2
+
+
+@pytest.fixture(scope="module")
+def pdca_e_run(small_instance, small_L):
+    res = solve(small_instance, LogPenalty(1e-3, 0.5),
+                SolverConfig(algorithm="pdca_e", L_override=small_L))
+    return res, small_L
+
+
+class TestCheckDescent:
+    def test_clean_run_has_no_violations(self, pdca_e_run):
+        res, L = pdca_e_run
+        report = check_descent(res, L)
+        assert report.violations == 0
+        assert report.max_violation == 0.0
+        merit = np.array(merit_loop(res, L))
+        assert np.all(merit[1:] <= merit[:-1])
+
+    def test_plain_pdca_also_clean(self, small_instance, small_L):
+        res = solve(small_instance, L1MinusL2(1e-3),
+                    SolverConfig(algorithm="pdca", L_override=small_L))
+        report = check_descent(res, small_L)
+        assert report.violations == 0
+
+    def test_detects_merit_bump(self, pdca_e_run):
+        # negative control: push one objective value, and so its merit, up past the slack
+        res, L = pdca_e_run
+        obj = res.objective_trace.copy()
+        k = len(obj) // 2
+        obj[k] += 1e-3
+        broken = dataclasses.replace(res, objective_trace=obj)
+        report = check_descent(broken, L)
+        assert report.violations >= 1
+        # the bump turns step k-1's merit drop d into d - 1e-3
+        merit = merit_loop(res, L)
+        assert report.max_violation >= 1e-3 - (merit[k - 1] - merit[k])
+
+    def test_detects_inflated_step(self, pdca_e_run):
+        # negative control: claim a larger step than the merit drop supports
+        res, L = pdca_e_run
+        steps = res.step_norm_trace.copy()
+        steps[0] *= 64.0
+        broken = dataclasses.replace(res, step_norm_trace=steps)
+        report = check_descent(broken, L)
+        assert report.violations >= 1
+
+    @pytest.mark.parametrize("algorithm", ["pdca_e", "pdca"])
+    @pytest.mark.parametrize("spec", [L1MinusL2(1e-3), LogPenalty(1e-3, 0.5), MCP(1e-3, 5.0),
+                                      TransformedL1(1e-3, 1.0)], ids=lambda s: s.name)
+    def test_matches_step_by_step_loop(self, small_instance, small_L, spec, algorithm):
+        res = solve(small_instance, spec, SolverConfig(algorithm=algorithm, L_override=small_L))
+        obj = res.objective_trace.copy()
+        obj[len(obj) // 2] += 1e-3
+        steps = res.step_norm_trace * 64.0
+        for run, L in ((res, small_L), (res, small_L / 64.0),
+                       (dataclasses.replace(res, objective_trace=obj), small_L),
+                       (dataclasses.replace(res, step_norm_trace=steps), small_L)):
+            report = check_descent(run, L)
+            assert (report.violations, report.max_violation) == descent_audit_loop(run, L)
+            assert type(report.violations) is int and type(report.max_violation) is float
+
+    def test_matches_loop_on_aborted_and_non_finite_traces(self, pdca_e_run, overflow_instance):
+        with np.errstate(over="ignore", invalid="ignore"):
+            aborted = solve(overflow_instance, L1MinusL2(1e-3),
+                            SolverConfig(algorithm="pdca", L_override=1.0))
+        assert aborted.iterations == 0
+        assert check_descent(aborted, 1.0) == DescentReport(0, 0.0)
+        assert descent_audit_loop(aborted, 1.0) == (0, 0.0)
+        res, L = pdca_e_run
+        obj = res.objective_trace.copy()
+        obj[3], obj[5], obj[7] = np.nan, np.inf, -np.inf
+        broken = dataclasses.replace(res, objective_trace=obj)
+        report = check_descent(broken, L)
+        assert (report.violations, report.max_violation) == descent_audit_loop(broken, L)
+
+    def test_requires_merit_trace(self, small_instance):
+        res = solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm="gist"))
+        assert res.beta_trace is None
+        with pytest.raises(ValueError, match="needs a pdca_e or pdca run"):
+            check_descent(res, 1.0)
+
+    def test_rejects_inconsistent_lengths(self, pdca_e_run):
+        res, L = pdca_e_run
+        for name in ("objective_trace", "step_norm_trace", "beta_trace"):
+            broken = dataclasses.replace(res, **{name: getattr(res, name)[:-1]})
+            with pytest.raises(ValueError, match="inconsistent with iterations"):
+                check_descent(broken, L)
+
+    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf, True, 5e-324])
+    def test_rejects_bad_L(self, pdca_e_run, L):
+        res, _ = pdca_e_run
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            check_descent(res, L)
+
+
+class TestStationarityResidual:
+    @pytest.mark.parametrize("L", [math.nan, 0.0, -1.0, math.inf, True, 5e-324])
+    def test_rejects_bad_L(self, L):
+        inst = identity_instance([1.0, 0.0])
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            stationarity_residual(inst, L1MinusL2(0.1), np.zeros(2), L)
+
+    def test_zero_at_exact_minimizer(self):
+        # no penalty, identity design: x = b is stationary
+        inst = identity_instance([0.7, -0.3])
+        got = stationarity_residual(inst, L1MinusL2(0.0), inst.b.copy(), 1.0)
+        assert got == 0.0
+
+    def test_hand_value_at_origin(self):
+        # x = 0: residual reduces to ||p1_prox(A^T b / L, 1/L)|| / 1;
+        # soft thresholding (1, 0) by 0.1 leaves norm 0.9
+        inst = identity_instance([1.0, 0.0])
+        got = stationarity_residual(inst, L1MinusL2(0.1), np.zeros(2), 1.0)
+        assert got == pytest.approx(0.9, abs=1e-12)
+
+    def test_small_after_convergence(self, small_instance, small_L):
+        cfg = SolverConfig(algorithm="pdca_e", L_override=small_L)
+        res = solve(small_instance, L1MinusL2(1e-3), cfg)
+        assert res.status == "converged"
+        got = stationarity_residual(small_instance, L1MinusL2(1e-3), res.x_final, small_L)
+        assert got <= 10 * cfg.tol
+
+    def test_large_far_from_stationarity(self, small_instance, small_L):
+        got = stationarity_residual(small_instance, L1MinusL2(1e-3),
+                                    np.zeros(small_instance.n), small_L)
+        assert got > 1e-2
 
 
 @functools.lru_cache(maxsize=None)
