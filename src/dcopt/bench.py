@@ -4,9 +4,9 @@ A plan names a grid of (m, n, s) cells, a regularizer without its weight
 (such as 'log:eps=0.5'), a list of weights, solvers, and a replicate count.
 Instances are seeded by a stable hash of (master_seed, m, n, s, replicate),
 so they are shared across weights within a cell and adding a weight never
-reshuffles them. Every run with a beta trace (pdca_e, pdca) is audited
-against the descent inequality, and every l1-l2 run is checked for weight
-admissibility.
+reshuffles them. Every l1-l2 weight is checked against its instance's bound
+before L is computed, and every run with a beta trace (pdca_e, pdca) is
+audited against the descent inequality.
 """
 
 from __future__ import annotations
@@ -119,11 +119,6 @@ class RunRecord:
     lambda_bound: float | None
     message: str = ""
 
-    @property
-    def admissible(self) -> bool:
-        """Whether lam is below the instance's l1-l2 bound; true when there is none."""
-        return self.lambda_bound is None or self.lam < self.lambda_bound
-
 
 @dataclass(frozen=True)
 class CellStats:
@@ -183,6 +178,12 @@ def _run_cell_replicate(
     m, n, s = cell
     seed = replicate_seed(plan.master_seed, m, n, s, replicate)
     inst = generate_instance(m, n, s, noise_scale=0.01, seed=seed)
+    specs = [parse_reg(plan.reg, lam) for lam in plan.lambdas]
+    bound = l12_lambda_bound(inst) if specs[0].name == "l1-l2" else None
+    for lam in plan.lambdas:
+        if bound is not None and not lam < bound:
+            raise InvariantViolation(f"inadmissible weight: lam={lam:g} vs bound {bound:.6g} "
+                                     f"on cell {cell} rep {replicate}")
 
     t0 = time.perf_counter()
     est = lmax_gram(inst.A)
@@ -190,8 +191,6 @@ def _run_cell_replicate(
     if not est.converged:
         raise InvariantViolation(f"lmax_gram failed to converge on cell {cell} rep {replicate}")
     L = est.value
-    specs = [parse_reg(plan.reg, lam) for lam in plan.lambdas]
-    bound = l12_lambda_bound(inst) if specs[0].name == "l1-l2" else None
 
     records: list[RunRecord] = []
     for lam, spec in zip(plan.lambdas, specs):
@@ -233,9 +232,10 @@ def run_benchmark(plan: BenchmarkPlan) -> list[RunRecord]:
 
     Instances and their L are computed once per (cell, replicate) and shared
     across lambdas and solvers; solver wall times therefore never include the
-    L computation, which is reported separately as t_lmax. A descent-audit
-    failure raises InvariantViolation immediately; aborted solves and
-    inadmissible weights are flagged on the records and surfaced by the CLI.
+    L computation, which is reported separately as t_lmax. An inadmissible
+    l1-l2 weight, an unconverged L or a descent-audit failure raises
+    InvariantViolation at its (cell, replicate); only aborted solves are
+    flagged on the records, and the CLI surfaces them.
     """
     return [rec for cell in plan.grid for rep in range(plan.instances_per_cell)
             for rec in _run_cell_replicate(plan, cell, rep)]
@@ -274,23 +274,13 @@ def render_table(records: list[RunRecord], fmt: str = "csv") -> str:
 
 
 def nontiming_fingerprint(records: list[RunRecord]) -> str:
-    """Canonical text of everything except wall-clock columns.
+    """Canonical text of everything except wall-clock columns: one line per record.
 
     Two runs of the same plan with the same master seed must produce equal
-    fingerprints; floats are rendered with repr for exact round-tripping.
+    fingerprints; floats are rendered with repr for exact round-tripping. The
+    table's per-cell means are functions of these fields, so they are not repeated.
     """
-    lines = []
-    for r in sorted(records, key=lambda r: (r.m, r.n, r.s, r.lam, r.replicate, r.solver)):
-        lines.append(
-            f"rec,{r.m},{r.n},{r.s},{r.lam!r},{r.replicate},{r.seed},{r.solver},"
-            f"{r.iterations},{r.status},{r.fval!r},{r.residual!r},"
-            f"{r.lambda_bound!r},{r.admissible},{r.message}"
-        )
-    for row in cell_rows(records):
-        for name in sorted(row.stats):
-            st = row.stats[name]
-            lines.append(
-                f"row,{row.m},{row.n},{row.s},{row.lam!r},{name},"
-                f"{st.iter_mean!r},{st.cap_fraction!r},{st.fval_mean!r}"
-            )
-    return "\n".join(lines)
+    return "\n".join(
+        f"rec,{r.m},{r.n},{r.s},{r.lam!r},{r.replicate},{r.seed},{r.solver},"
+        f"{r.iterations},{r.status},{r.fval!r},{r.residual!r},{r.lambda_bound!r},{r.message}"
+        for r in sorted(records, key=lambda r: (r.m, r.n, r.s, r.lam, r.replicate, r.solver)))

@@ -18,14 +18,19 @@ from .regularizers import parse_reg
 from .solvers import SOLVERS, SolveResult, SolverConfig, merit, solve, stationarity_residual
 
 
-def _check_out_paths(*paths: str | None) -> None:
-    # before any work, and without creating a file, so a run that fails later leaves none
+def _check_out_paths(*paths: str | None, inputs: tuple[str, ...] = ()) -> None:
+    # before any work, and without creating a file, so a run that fails later leaves none;
+    # an output that resolves to an input or to another output would overwrite it
+    taken = dict.fromkeys(map(os.path.realpath, inputs), "an input")
     for path in filter(None, paths):
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise ValueError(f"output path {path!r} is a directory")
         if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
             raise ValueError(f"output path {path!r}: {parent!r} is not a writable directory")
+        if (real := os.path.realpath(path)) in taken:
+            raise ValueError(f"output path {path!r} names {taken[real]}")
+        taken[real] = "another output"
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -64,7 +69,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         restart_period=args.restart or None,
         adaptive_restart=not args.no_adaptive,
     )
-    _check_out_paths(args.trace)
+    _check_out_paths(args.trace, inputs=(args.instance,))
     inst = load_instance(args.instance)
     est = lmax_gram(inst.A)
     if not est.converged:
@@ -84,7 +89,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.plan) as fh:
         plan = parse_plan(fh.read())
-    _check_out_paths(args.out_csv, args.out_md)
+    _check_out_paths(args.out_csv, args.out_md, inputs=(args.plan,))
     try:
         records = run_benchmark(plan)
     except InvariantViolation as exc:
@@ -99,22 +104,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(args.out_md)
     rc = 0
     for rec in records:
-        if not rec.admissible:
+        if rec.status == "aborted":
             print(
-                f"inadmissible weight: lam={rec.lam:g} vs bound {rec.lambda_bound:.6g} "
-                f"on ({rec.m},{rec.n},{rec.s}) rep {rec.replicate}",
+                f"solver abort: {rec.solver} on ({rec.m},{rec.n},{rec.s}) "
+                f"rep {rec.replicate}: {rec.message}",
                 file=sys.stderr,
             )
-            rc = 2
-    if rc == 0:
-        for rec in records:
-            if rec.status == "aborted":
-                print(
-                    f"solver abort: {rec.solver} on ({rec.m},{rec.n},{rec.s}) "
-                    f"rep {rec.replicate}: {rec.message}",
-                    file=sys.stderr,
-                )
-                rc = 3
+            rc = 3
     return rc
 
 

@@ -85,9 +85,14 @@ def _is_real(value) -> bool:
 
 def _check_positive(value, name: str) -> None:
     # the one rule for a step constant, prox weight or tolerance: value and 1/value both
-    # exceed 2**-1024, whose reciprocal overflows, so 1/L passes wherever L does
-    if not (_is_real(value) and 2.0 ** -1024 < value < math.inf
-            and 2.0 ** -1024 < 1 / value < math.inf):
+    # exceed 2**-1024, whose reciprocal overflows, so 1/L passes wherever L does. A numpy
+    # scalar's 1/value is taken in its own type, as solve's 1.0 / L is, where a float32 or
+    # float16 can overflow to inf: that fails the rule, with numpy's warning held back
+    ok = _is_real(value) and 2.0 ** -1024 < value < math.inf
+    if ok and isinstance(value, np.generic):
+        with np.errstate(over="ignore"):
+            ok = 1 / value < math.inf
+    if not (ok and 2.0 ** -1024 < 1 / value < math.inf):
         raise ValueError(f"{name} must be positive and finite with a finite reciprocal, "
                          f"got {value!r}")
 

@@ -402,6 +402,23 @@ def textbook_p2_subgrad(spec, x: np.ndarray) -> np.ndarray:
     return np.sign(x) * (textbook_p1_weight(spec) - slope)
 
 
+def kkt_residual(A: np.ndarray, b: np.ndarray, spec, x: np.ndarray) -> float:
+    """How far x is from the papers' stationarity 0 in A^T(Ax - b) + w d||x||_1 - xi.
+
+    With g = A^T(Ax - b) - xi, xi from textbook_p2_subgrad and w from
+    textbook_p1_weight, entry i is |g_i + w sign(x_i)| where x_i != 0 and
+    max(|g_i| - w, 0) where x_i = 0; the result is their largest. For l1-l2 at
+    x = 0, where dP2 is the whole ball of radius lam, xi = 0: the solver's choice.
+    """
+    g = A.T @ (A @ x - b) - textbook_p2_subgrad(spec, x)
+    w = textbook_p1_weight(spec)
+    worst = 0.0
+    for g_i, x_i in zip(g.tolist(), x.tolist()):
+        entry = abs(g_i + math.copysign(w, x_i)) if x_i != 0.0 else max(abs(g_i) - w, 0.0)
+        worst = max(worst, entry)
+    return worst
+
+
 @dataclass(frozen=True)
 class TextbookRun:
     x_final: np.ndarray

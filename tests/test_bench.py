@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,11 +45,11 @@ def tiny_records():
     return run_benchmark(TINY_PLAN)
 
 
-def record(solver, replicate=0, status="converged", iterations=10, fval=0.5, lambda_bound=None):
+def record(solver, replicate=0, status="converged", iterations=10, fval=0.5):
     """A hand-made run of cell 10x20x2 at lam 1e-3."""
     return RunRecord(m=10, n=20, s=2, lam=1e-3, replicate=replicate, seed=0, solver=solver,
                      iterations=iterations, status=status, fval=fval, residual=0.0,
-                     wall_seconds=1.0, t_lmax=0.5, lambda_bound=lambda_bound)
+                     wall_seconds=1.0, t_lmax=0.5, lambda_bound=None)
 
 
 class TestParsePlan:
@@ -159,7 +160,7 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             BenchmarkPlan(grid=((10, 20, 2),), lambdas=(-1e-3,), reg="l1-l2")
 
-    # "1e-3" and True were stored as given: a str lam failed later in RunRecord.admissible
+    # "1e-3" and True were stored as given: a str lam failed later against the l1-l2 bound
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf"), "1e-3", True])
     def test_checks_every_lambda(self, bad):
         with pytest.raises(ValueError, match="lam"):
@@ -249,13 +250,28 @@ class TestReplicateSeed:
             replicate_seed(0, *cell, 0)
 
 
-class TestRunRecord:
-    @pytest.mark.parametrize(("bound", "admissible"),
-                             [(None, True), (2e-3, True), (1e-3, False), (5e-4, False)])
-    def test_admissible_iff_lam_below_bound(self, bound, admissible):
-        rec = record("pdca", lambda_bound=bound)  # lam = 1e-3
-        assert rec.admissible is admissible
-        assert nontiming_fingerprint([rec]).splitlines()[0].endswith(f",{admissible},")
+class TestAdmissibility:
+    @pytest.fixture(scope="class")
+    def bound(self):
+        """The l1-l2 bound of the tiny plan's replicate-0 instance."""
+        seed = replicate_seed(TINY_PLAN.master_seed, 20, 50, 3, 0)
+        return l12_lambda_bound(generate_instance(20, 50, 3, noise_scale=0.01, seed=seed))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["at", "above"])
+    def test_weight_not_below_the_bound_fails_before_L(self, monkeypatch, bound, scale):
+        monkeypatch.setattr(bench_mod, "lmax_gram", lambda A: pytest.fail("lmax_gram ran"))
+        plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, scale * bound))
+        with pytest.raises(InvariantViolation,
+                           match=rf"^inadmissible weight: lam={scale * bound:g} vs bound "
+                                 rf"{bound:.6g} on cell \(20, 50, 3\) rep 0$"):
+            run_benchmark(plan)
+
+    def test_weight_just_below_the_bound_runs(self, bound):
+        lam = math.nextafter(bound, 0.0)
+        plan = dataclasses.replace(TINY_PLAN, lambdas=(lam,), instances_per_cell=1,
+                                   solvers=["pdca_e"])
+        [rec] = run_benchmark(plan)
+        assert (rec.lam, rec.lambda_bound) == (lam, bound)
 
 
 class TestRunBenchmark:
@@ -272,7 +288,7 @@ class TestRunBenchmark:
         assert all(r.status == "converged" for r in tiny_records
                    if r.solver in ("pdca_e", "gist"))
         assert all(r.status != "aborted" for r in tiny_records)
-        assert all(r.admissible for r in tiny_records)
+        assert all(r.lam < r.lambda_bound for r in tiny_records)
 
     def test_instances_shared_across_lambdas(self):
         plan = dataclasses.replace(TINY_PLAN, lambdas=(1e-3, 5e-4), solvers=["pdca_e"])
@@ -432,11 +448,11 @@ def family_records(reg: str) -> tuple[RunRecord, ...]:
 @pytest.mark.parametrize(
     ("reg", "digest"),
     [
-        ("l1-l2", "567821ff3e986285"),
-        ("log:eps=0.5", "485bbfebc660f650"),
-        ("mcp:theta=2.5", "ebbe24eee0074699"),
-        ("scad:theta=3.7", "099d1efca34b5fd3"),
-        ("tl1:a=1.0", "7029532eaf51cf61"),
+        ("l1-l2", "f5da6399b45ea3c1"),
+        ("log:eps=0.5", "f1d53d7b82b4c45a"),
+        ("mcp:theta=2.5", "64daa55be2362703"),
+        ("scad:theta=3.7", "0611b95bbee79c52"),
+        ("tl1:a=1.0", "de669c5da4c31c64"),
     ],
     ids=["l1-l2", "log", "mcp", "scad", "tl1"],
 )

@@ -241,16 +241,20 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("trace", ["missing/trace.csv", "."])
+    # the last two name the instance itself, which the trace would overwrite
+    @pytest.mark.parametrize("trace", ["missing/trace.csv", ".", "instance-m20-n50-s3-seed5.dcin",
+                                       "./instance-m20-n50-s3-seed5.dcin"])
     def test_unwritable_trace_fails_before_L_is_computed(self, monkeypatch, workdir,
                                                          instance_path, trace):
         monkeypatch.setattr("dcopt.cli.lmax_gram", lambda A: pytest.fail("lmax_gram ran"))
+        before = (workdir / instance_path).read_bytes()
         rc, out, err = run_cli("solve", "--instance", instance_path, "--reg", "l1-l2:lambda=1e-3",
                                "--solver", "pdca", "--trace", trace)
         assert rc == 2
         assert out == ""
         assert err.startswith(f"error: output path {trace!r}")
         assert [p.name for p in workdir.iterdir()] == [instance_path]
+        assert (workdir / instance_path).read_bytes() == before
 
     def test_unconverged_L_is_reported_once(self, monkeypatch, caplog, instance_path):
         monkeypatch.setattr("dcopt.linalg._LMAX_MAX_ITER", 3)
@@ -347,22 +351,19 @@ class TestBench:
 
         monkeypatch.setattr("dcopt.bench.solve", solve_or_abort)
 
-    def test_inadmissible_weight_is_exit_2_with_tables(self, monkeypatch, workdir):
-        # a weight far above the l1-l2 bound: one line per record, and the
-        # abort lines wait until every weight is admissible
-        self.abort_gist(monkeypatch)
+    def test_inadmissible_weight_is_exit_2_without_tables(self, monkeypatch, workdir):
+        # a weight far above the l1-l2 bound stops the plan at its first unit, before L
+        monkeypatch.setattr("dcopt.bench.lmax_gram", lambda A: pytest.fail("lmax_gram ran"))
         (workdir / "big.plan").write_text(
-            TINY_PLAN_TEXT.replace("log:eps=0.5", "l1-l2").replace("1e-3", "1e3"))
+            TINY_PLAN_TEXT.replace("log:eps=0.5", "l1-l2").replace("1e-3", "1e-3, 1e3"))
         rc, out, err = run_cli("bench", "--plan", "big.plan",
                                "--out-csv", "out.csv", "--out-md", "out.md")
         assert rc == 2
-        assert out.splitlines() == ["out.csv", "out.md"]
-        assert len((workdir / "out.csv").read_text().splitlines()) == 2
-        lines = err.splitlines()
-        assert len(lines) == 2 * 2  # replicates x solvers
-        for rep, line in zip((0, 0, 1, 1), lines):
-            assert re.fullmatch(rf"inadmissible weight: lam=1000 vs bound \S+ "
-                                rf"on \(20,50,3\) rep {rep}", line), line
+        assert out == ""
+        assert [p.name for p in workdir.iterdir()] == ["big.plan"]
+        [line] = err.splitlines()
+        assert re.fullmatch(r"invariant violation: inadmissible weight: lam=1000 vs bound \S+ "
+                            r"on cell \(20, 50, 3\) rep 0", line), line
 
     def test_solver_abort_is_exit_3(self, monkeypatch, workdir):
         self.abort_gist(monkeypatch)
@@ -384,8 +385,11 @@ class TestBench:
                        "lam 0.001\n")
         assert not (workdir / "out.csv").exists()
 
+    # the last four name the plan or the other output, which would be overwritten
     @pytest.mark.parametrize("outputs", [("missing/t.csv",), ("out.csv", "missing/t.md"),
-                                         (".",), ("out.csv", ".")])
+                                         (".",), ("out.csv", "."),
+                                         ("tiny.plan",), ("out.csv", "./tiny.plan"),
+                                         ("out.csv", "out.csv"), ("out.csv", "./out.csv")])
     def test_unwritable_output_fails_before_the_plan_runs(self, monkeypatch, workdir, outputs):
         monkeypatch.setattr("dcopt.cli.run_benchmark", lambda plan: pytest.fail("plan ran"))
         (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
@@ -396,6 +400,7 @@ class TestBench:
         assert out == ""
         assert err.startswith(f"error: output path {outputs[-1]!r}")
         assert [p.name for p in workdir.iterdir()] == ["tiny.plan"]
+        assert (workdir / "tiny.plan").read_text() == TINY_PLAN_TEXT
 
     def test_malformed_plan_is_exit_2(self, workdir):
         (workdir / "bad.plan").write_text("grid = 10x20\nseed = 0\n")

@@ -242,7 +242,8 @@ class TestP1Prox:
             assert got == pytest.approx(ref, abs=1e-6)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0, True, 5e-324])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0, True, 5e-324,
+                                    np.float32(1e-40), np.float16(1e-5)])
     def test_step_must_be_positive_and_finite(self, mu):
         # mu = nan soft-thresholded every entry to NaN
         with pytest.raises(ValueError, match="mu must be positive and finite"):

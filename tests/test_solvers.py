@@ -22,7 +22,8 @@ from dcopt.regularizers import (MCP, SCAD, L1MinusL2, LogPenalty, TransformedL1,
                                 p1_prox, reg_value)
 from dcopt.solvers import (SOLVERS, DescentReport, ExtrapolationState, SolverConfig, check_descent,
                            next_beta, objective, solve, stationarity_residual)
-from oracles import descent_audit_loop, grid_min_1d, merit_loop, textbook_gist, textbook_pdca
+from oracles import (descent_audit_loop, grid_min_1d, kkt_residual, merit_loop, textbook_gist,
+                     textbook_pdca)
 
 ALL_SPECS = [
     L1MinusL2(1e-3),
@@ -73,6 +74,11 @@ class TestSolverConfig:
             # the prox weight 1/L is inf, or 2**-1024, whose own reciprocal overflows
             dict(algorithm="pdca_e", L_override=2.0 ** -1024),
             dict(algorithm="pdca_e", L_override=sys.float_info.max),
+            # 1/value overflows in the scalar's own type, where numpy warned before refusing
+            dict(algorithm="pdca_e", L_override=np.float32(1e-40)),
+            dict(algorithm="pdca_e", L_override=np.float16(1e-5)),
+            dict(algorithm="pdca", tol=np.float32(1e-40)),
+            dict(algorithm="pdca", tol=np.float16(1e-5)),
         ],
     )
     def test_validation(self, kwargs):
@@ -82,7 +88,7 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
     @pytest.mark.parametrize("L", [math.nextafter(2.0 ** -1024, 1.0), 1e-300,
-                                   1.0 / math.nextafter(2.0 ** -1024, 1.0)])
+                                   1.0 / math.nextafter(2.0 ** -1024, 1.0), np.float32(3e38)])
     def test_accepted_L_gives_an_accepted_step_weight(self, L):
         SolverConfig(algorithm="pdca_e", L_override=L)
         assert np.array_equal(p1_prox(L1MinusL2(0.0), np.ones(2), 1.0 / L), np.ones(2))
@@ -504,6 +510,29 @@ class TestStationarityResidual:
         got = stationarity_residual(small_instance, L1MinusL2(1e-3),
                                     np.zeros(small_instance.n), small_L)
         assert got > 1e-2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", [(40, 100, 5), (70, 200, 8), (100, 300, 10)],
+                         ids=lambda size: "x".join(map(str, size)))
+def test_converged_runs_meet_the_papers_stationarity(size, seed):
+    # the oracle checks the papers' definition, not stationarity_residual's prox map; at
+    # lam = 1e-2 a p1_prox threshold 1% high or an l1-l2 xi 10% short breaks the bound
+    inst = generate_instance(*size, seed=seed)
+    L = lmax_gram(inst.A).value
+    checked = 0
+    for spec in ALL_SPECS:
+        spec = dataclasses.replace(spec, lam=1e-2)
+        for algorithm in SOLVERS:
+            cfg = SolverConfig(algorithm=algorithm, L_override=L)
+            res = solve(inst, spec, cfg)
+            if res.status == "converged":
+                checked += 1
+                kkt = kkt_residual(inst.A, inst.b, spec, res.x_final)
+                bound = 2.0 * L * cfg.tol * max(1.0, float(np.linalg.norm(res.x_final)))
+                assert kkt <= bound, (type(spec).__name__, algorithm, kkt, bound)
+    # plain pdca may hit the cap; every other run converges
+    assert checked >= 2 * len(ALL_SPECS)
 
 
 @functools.lru_cache(maxsize=None)
