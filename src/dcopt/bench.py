@@ -60,6 +60,19 @@ class BenchmarkPlan:
 _PLAN_KEYS = ("grid", "lambdas", "reg", "solvers", "instances", "seed")
 
 
+def _cell(tok: str) -> tuple[int, int, int]:
+    m, n, s = map(int, tok.lower().split("x"))  # ValueError unless three integers
+    return m, n, s
+
+
+def _plan_value(key: str, tok: str, convert, kind: str):
+    # the converter's own message names neither the key nor the token of a list that failed
+    try:
+        return convert(tok)
+    except ValueError:
+        raise ValueError(f"plan key {key!r}: {tok!r} is not {kind}") from None
+
+
 def parse_plan(text: str) -> BenchmarkPlan:
     """Parse the flat key-value plan format ('key = value', '#' comments)."""
     kv: dict[str, str] = {}
@@ -81,23 +94,15 @@ def parse_plan(text: str) -> BenchmarkPlan:
     if missing:
         raise ValueError(f"plan missing keys {missing}")
 
-    grid = []
-    for tok in kv["grid"].replace(";", " ").split():
-        parts = tok.lower().split("x")
-        if len(parts) != 3:
-            raise ValueError(f"grid entry {tok!r} is not of the form MxNxS")
-        grid.append(tuple(int(p) for p in parts))
-
-    lambdas = [float(tok) for tok in kv["lambdas"].replace(",", " ").split()]
-    solvers = kv["solvers"].replace(",", " ").split()
-
     return BenchmarkPlan(
-        grid=grid,
-        lambdas=lambdas,
+        grid=[_plan_value("grid", tok, _cell, "of the form MxNxS")
+              for tok in kv["grid"].replace(";", " ").split()],
+        lambdas=[_plan_value("lambdas", tok, float, "a number")
+                 for tok in kv["lambdas"].replace(",", " ").split()],
         reg=kv["reg"],
-        solvers=solvers,
-        instances_per_cell=int(kv["instances"]),
-        master_seed=int(kv["seed"]),
+        solvers=kv["solvers"].replace(",", " ").split(),
+        instances_per_cell=_plan_value("instances", kv["instances"], int, "an integer"),
+        master_seed=_plan_value("seed", kv["seed"], int, "an integer"),
     )
 
 

@@ -18,19 +18,28 @@ from .regularizers import parse_reg
 from .solvers import SOLVERS, SolveResult, SolverConfig, merit, solve, stationarity_residual
 
 
+def _file_id(path: str):
+    # an existing file by its inode, which every hard link to it shares; a new one by its name
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_out_paths(*paths: str | None, inputs: tuple[str, ...] = ()) -> None:
     # before any work, and without creating a file, so a run that fails later leaves none;
-    # an output that resolves to an input or to another output would overwrite it
-    taken = dict.fromkeys(map(os.path.realpath, inputs), "an input")
+    # an output that is an input or another output (by any name or link) would overwrite it
+    taken = dict.fromkeys(map(_file_id, inputs), "an input")
     for path in filter(None, paths):
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise ValueError(f"output path {path!r} is a directory")
         if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
             raise ValueError(f"output path {path!r}: {parent!r} is not a writable directory")
-        if (real := os.path.realpath(path)) in taken:
-            raise ValueError(f"output path {path!r} names {taken[real]}")
-        taken[real] = "another output"
+        if (key := _file_id(path)) in taken:
+            raise ValueError(f"output path {path!r} names {taken[key]}")
+        taken[key] = "another output"
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -58,15 +67,13 @@ def _write_trace(path: str, res: SolveResult, L: float) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.restart < 0:
-        raise ValueError(f"--restart must be >= 0 (0 disables it), got {args.restart}")
     # every option is checked before the container is read and L is computed
     spec = parse_reg(args.reg)
     cfg = SolverConfig(
         algorithm=args.solver,
         tol=args.tol,
         max_iter=args.max_iter,
-        restart_period=args.restart or None,
+        restart_period=args.restart,
         adaptive_restart=not args.no_adaptive,
     )
     _check_out_paths(args.trace, inputs=(args.instance,))

@@ -1,4 +1,4 @@
-"""The three solvers: pDCA_e, plain pDCA (beta = 0), and the GIST baseline.
+"""The three solvers: pDCA_e, plain pDCA (pDCA_e restarted every step), and GIST.
 
 All three run in one loop that starts from the origin, caches A x^t and
 A x^{t-1}, and stops when ||x^t - x^{t-1}|| / max(1, ||x^t||) < tol; only
@@ -42,7 +42,7 @@ class SolverConfig:
     algorithm: str
     tol: float = 1e-5
     max_iter: int = 5000
-    restart_period: int | None = 200
+    restart_period: int = 200  # 0: no fixed restart
     adaptive_restart: bool = True  # pdca_e only, like restart_period
     L_override: float | None = None  # pdca_e/pdca step constant (required); gist ignores it
 
@@ -52,8 +52,8 @@ class SolverConfig:
         _check_positive(self.tol, "tol")
         if not _is_count(self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
-        if self.restart_period is not None and not _is_count(self.restart_period):
-            raise ValueError("restart_period must be an integer >= 1 when present")
+        if not _is_count(self.restart_period, 0):
+            raise ValueError("restart_period must be an integer >= 0 (0: no fixed restart)")
         if self.L_override is not None:
             _check_positive(self.L_override, "L_override")
 
@@ -67,20 +67,20 @@ class ExtrapolationState:
 
 def next_beta(
     state: ExtrapolationState,
-    restart_period: int | None,
+    restart_period: int,
     adaptive_trigger: bool,
 ) -> tuple[float, ExtrapolationState]:
     """Emit beta_t = (theta_{t-1} - 1)/theta_t and advance the theta recursion.
 
-    A reset (adaptive trigger, or the since-restart counter reaching the
-    fixed period) puts theta_prev = theta = 1 before beta is formed, so the
-    beta emitted immediately after any reset is 0. Both triggers firing at
-    once reset once; the counter restarts on either kind.
+    A reset (adaptive trigger, or the since-restart counter reaching a fixed
+    period above 0) puts theta_prev = theta = 1 before beta is formed, so the
+    beta emitted just after any reset is 0, and every beta is 0 at period 1.
+    Both triggers firing at once reset once; the counter restarts on either.
     """
     theta_prev = state.theta_prev
     theta = state.theta
     since = state.iterations_since_restart
-    if adaptive_trigger or (restart_period is not None and since == restart_period):
+    if adaptive_trigger or 0 < restart_period == since:
         theta_prev = theta = 1.0
         since = 0
     beta = (theta_prev - 1.0) / theta
@@ -125,9 +125,9 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     """Run cfg.algorithm from the origin.
 
     pdca_e/pdca: xi^t in dP2(x^t); y^t = x^t + beta_t (x^t - x^{t-1});
-    x^{t+1} = p1_prox(y^t - (1/L)(grad f(y^t) - xi^t), 1/L), with beta_t = 0
-    for pdca. The adaptive restart trigger is <y^{t-1} - x^t, x^t - x^{t-1}> > 0,
-    evaluated before y^t is formed.
+    x^{t+1} = p1_prox(y^t - (1/L)(grad f(y^t) - xi^t), 1/L), with beta_t from
+    next_beta; pdca restarts at every step, so its beta_t are 0. The adaptive
+    trigger is <y^{t-1} - x^t, x^t - x^{t-1}> > 0, evaluated before y^t is formed.
 
     gist: x^{t+1} = full_prox(x^t - grad f(x^t)/L_t, L_t). The trial step L_t
     starts from the clamped BB curvature ||A d||^2/||d||^2 of the last step d
@@ -141,7 +141,9 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     wall_seconds covers the iteration loop only.
     """
     gist = cfg.algorithm == "gist"
-    pdca_e = cfg.algorithm == "pdca_e"
+    # pdca is pdca_e with a fixed restart at every step
+    period, adaptive = ((cfg.restart_period, cfg.adaptive_restart)
+                        if cfg.algorithm == "pdca_e" else (1, False))
     L = cfg.L_override
     if L is None and not gist:
         raise ValueError(f"{cfg.algorithm} needs L_override, e.g. lmax_gram(inst.A).value")
@@ -149,15 +151,11 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     A, b = inst.A, inst.b
     x = x_prev = np.zeros(inst.n)
     Ax = Ax_prev = np.zeros(inst.m)
-    state = ExtrapolationState()
     L0 = _GIST_L0_FIRST
-    beta = 0.0
-    if not gist:
-        if pdca_e:  # beta_0 = 0; the trigger is off at the origin
-            beta, state = next_beta(state, cfg.restart_period, False)
+    if not gist:  # beta_0 = 0; the trigger is off at the origin
+        beta, state = next_beta(ExtrapolationState(), period, False)
         grad_y = A.T @ (Ax - b)  # y^0 = x^0 = 0
-    F0 = 0.5 * float(b @ b)  # F(0): every penalty vanishes at the origin
-    obj = [F0]
+    obj = [_objective(spec, Ax, b, x)]
     steps: list[float] = []
     betas: list[float] = []
 
@@ -196,9 +194,8 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
             if np.all(np.isfinite(x_new)):
                 beta_t = beta
                 with np.errstate(over="ignore", invalid="ignore"):  # a diverging run aborts on F
-                    if pdca_e:
-                        trigger = cfg.adaptive_restart and float((y - x_new) @ (x_new - x)) > 0.0
-                        beta, state = next_beta(state, cfg.restart_period, trigger)
+                    trigger = adaptive and float((y - x_new) @ (x_new - x)) > 0.0
+                    beta, state = next_beta(state, period, trigger)
                     Ax_new, grad_y = _gemv_pair(A, x_new, (beta, Ax, b))
                 F = _objective(spec, Ax_new, b, x_new)
                 if np.isfinite(F):

@@ -98,6 +98,15 @@ class TestParsePlan:
              "solver"),
             ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0\n"
              "trace=yes", "unknown plan key"),
+            # a value that does not convert names its key, which int() and float() do not
+            ("grid=10x20x2; 10x2ox2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
+             "^plan key 'grid': '10x2ox2' is not of the form MxNxS$"),
+            ("grid=10x20x2\nlambdas=1e-3, x\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
+             "^plan key 'lambdas': 'x' is not a number$"),
+            ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=2.5\nseed=0",
+             "^plan key 'instances': '2.5' is not an integer$"),
+            ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=1e3",
+             "^plan key 'seed': '1e3' is not an integer$"),
         ],
     )
     def test_rejects_malformed(self, text, fragment):

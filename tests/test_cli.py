@@ -230,7 +230,7 @@ class TestSolve:
                                "--restart", restart)
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: --restart must be >= 0")
+        assert err.startswith("error: restart_period must be an integer >= 0")
 
     @pytest.mark.parametrize("option", [("--max-iter", "0"), ("--tol", "-1"), ("--tol", "nan")])
     def test_bad_option_fails_before_L_is_computed(self, monkeypatch, instance_path, option):
@@ -241,20 +241,22 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ")
 
-    # the last two name the instance itself, which the trace would overwrite
+    # the last three name the instance itself, which the trace would overwrite; hl.dcin is
+    # a hard link to it, which os.path.realpath cannot see
     @pytest.mark.parametrize("trace", ["missing/trace.csv", ".", "instance-m20-n50-s3-seed5.dcin",
-                                       "./instance-m20-n50-s3-seed5.dcin"])
+                                       "./instance-m20-n50-s3-seed5.dcin", "hl.dcin"])
     def test_unwritable_trace_fails_before_L_is_computed(self, monkeypatch, workdir,
                                                          instance_path, trace):
         monkeypatch.setattr("dcopt.cli.lmax_gram", lambda A: pytest.fail("lmax_gram ran"))
-        before = (workdir / instance_path).read_bytes()
+        if trace == "hl.dcin":
+            os.link(workdir / instance_path, workdir / trace)
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
         rc, out, err = run_cli("solve", "--instance", instance_path, "--reg", "l1-l2:lambda=1e-3",
                                "--solver", "pdca", "--trace", trace)
         assert rc == 2
         assert out == ""
         assert err.startswith(f"error: output path {trace!r}")
-        assert [p.name for p in workdir.iterdir()] == [instance_path]
-        assert (workdir / instance_path).read_bytes() == before
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
     def test_unconverged_L_is_reported_once(self, monkeypatch, caplog, instance_path):
         monkeypatch.setattr("dcopt.linalg._LMAX_MAX_ITER", 3)
@@ -385,22 +387,31 @@ class TestBench:
                        "lam 0.001\n")
         assert not (workdir / "out.csv").exists()
 
-    # the last four name the plan or the other output, which would be overwritten
+    # from the fifth on they name the plan or the other output, which would be overwritten;
+    # hl.plan is a hard link to the plan and hl.csv one to an existing out.csv
     @pytest.mark.parametrize("outputs", [("missing/t.csv",), ("out.csv", "missing/t.md"),
                                          (".",), ("out.csv", "."),
                                          ("tiny.plan",), ("out.csv", "./tiny.plan"),
-                                         ("out.csv", "out.csv"), ("out.csv", "./out.csv")])
+                                         ("out.csv", "out.csv"), ("out.csv", "./out.csv"),
+                                         ("hl.plan",), ("out.csv", "hl.plan"),
+                                         ("out.csv", "hl.csv")])
     def test_unwritable_output_fails_before_the_plan_runs(self, monkeypatch, workdir, outputs):
         monkeypatch.setattr("dcopt.cli.run_benchmark", lambda plan: pytest.fail("plan ran"))
         (workdir / "tiny.plan").write_text(TINY_PLAN_TEXT)
+        if "hl.plan" in outputs:
+            os.link(workdir / "tiny.plan", workdir / "hl.plan")
+        if "hl.csv" in outputs:
+            (workdir / "out.csv").write_text("an earlier table\n")
+            os.link(workdir / "out.csv", workdir / "hl.csv")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
         flags = ("--out-csv", "--out-md")
         options = [o for flag, path in zip(flags, outputs) for o in (flag, path)]
         rc, out, err = run_cli("bench", "--plan", "tiny.plan", *options)
         assert rc == 2
         assert out == ""
         assert err.startswith(f"error: output path {outputs[-1]!r}")
-        assert [p.name for p in workdir.iterdir()] == ["tiny.plan"]
-        assert (workdir / "tiny.plan").read_text() == TINY_PLAN_TEXT
+        assert before["tiny.plan"] == TINY_PLAN_TEXT.encode()
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
     def test_malformed_plan_is_exit_2(self, workdir):
         (workdir / "bad.plan").write_text("grid = 10x20\nseed = 0\n")

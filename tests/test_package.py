@@ -47,6 +47,37 @@ def test_readme_layout_lists_every_module():
     assert sorted(listed) == sorted(modules)
 
 
+def test_readme_claims_name_existing_tests():
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Claims\n(.*?)(?=^## |\Z)", readme, re.S | re.M).group(1)
+    claims = re.findall(r"^- (.*?)(?=^- |\Z)", section, re.S | re.M)
+    assert len(claims) >= 9 and all("`tests/" in claim for claim in claims)
+    missing = []
+    for test_id in re.findall(r"`(tests/[^`]*)`", section):
+        # a [param] suffix names one case of a test that exists when its function does
+        path, name = re.fullmatch(r"(tests/\w+\.py)::([\w:]+)(?:\[[^\]]*\])?", test_id).groups()
+        file = ROOT / path
+        scope = ast.parse(file.read_text()) if file.is_file() else None
+        for part in name.split("::"):
+            scope = next((node for node in getattr(scope, "body", ())
+                          if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                          and node.name == part), None)
+        if scope is None:
+            missing.append(f"{path}::{name}")
+    assert missing == []
+
+
+def test_perfbench_wrapped_names_resolve():
+    # run.py skips a wrapped name that has gone, so a rename would read its layer metrics as 0
+    text = (ROOT / "perfbench" / "run.py").read_text()
+    wrapped = re.findall(r'\(dcopt\.(\w+), "(\w+)",', text)
+    assert len(wrapped) >= 5
+    missing = [f"dcopt.{module}.{attr}" for module, attr in wrapped
+               if not (inspect.ismodule(getattr(dcopt, module, None))
+                       and hasattr(getattr(dcopt, module), attr))]
+    assert missing == []
+
+
 def test_instances_imports_only_linalg_from_the_package():
     # the instance data layer knows nothing of regularizers or solvers
     tree = ast.parse((ROOT / "src" / "dcopt" / "instances.py").read_text())

@@ -60,7 +60,7 @@ class TestSolverConfig:
             dict(algorithm="newton"),
             dict(algorithm="pdca", tol=0.0),
             dict(algorithm="pdca", max_iter=0),
-            dict(algorithm="pdca_e", restart_period=0),
+            dict(algorithm="pdca_e", restart_period=-1),
             dict(algorithm="pdca", L_override=-1.0),
             dict(algorithm="pdca", tol=float("nan")),
             dict(algorithm="pdca", L_override=float("nan")),
@@ -79,6 +79,8 @@ class TestSolverConfig:
             dict(algorithm="pdca_e", L_override=np.float16(1e-5)),
             dict(algorithm="pdca", tol=np.float32(1e-40)),
             dict(algorithm="pdca", tol=np.float16(1e-5)),
+            # 0 is the one spelling of "no fixed restart"
+            dict(algorithm="pdca_e", restart_period=None),
         ],
     )
     def test_validation(self, kwargs):
@@ -98,7 +100,8 @@ class TestSolverConfig:
     def test_rejects_non_integer_counts(self, field, value):
         # restart_period=2.5 never equals the since-restart counter, so it would never fire;
         # True is an Integral, and would run as a one-step cap or a restart every step
-        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        least = {"max_iter": 1, "restart_period": 0}[field]
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= {least}"):
             SolverConfig(algorithm="pdca_e", **{field: value})
 
     def test_accepts_numpy_integer_counts(self):
@@ -114,9 +117,9 @@ class TestSolverConfig:
 class TestNextBeta:
     def test_first_values(self):
         st = ExtrapolationState()
-        b0, st = next_beta(st, None, False)
-        b1, st = next_beta(st, None, False)
-        b2, st = next_beta(st, None, False)
+        b0, st = next_beta(st, 0, False)
+        b1, st = next_beta(st, 0, False)
+        b2, st = next_beta(st, 0, False)
         assert b0 == 0.0
         assert b1 == 0.0
         # (theta_1 - 1)/theta_2 with theta_1 = golden ratio: frozen value
@@ -126,7 +129,7 @@ class TestNextBeta:
         st = ExtrapolationState()
         betas = []
         for _ in range(50):
-            b, st = next_beta(st, None, False)
+            b, st = next_beta(st, 0, False)
             betas.append(b)
         assert all(b2 >= b1 for b1, b2 in zip(betas[2:], betas[3:]))
         assert betas[-1] < 1.0
@@ -144,8 +147,8 @@ class TestNextBeta:
     def test_adaptive_trigger_resets(self):
         st = ExtrapolationState()
         for _ in range(10):
-            _, st = next_beta(st, None, False)
-        b, st = next_beta(st, None, True)
+            _, st = next_beta(st, 0, False)
+        b, st = next_beta(st, 0, True)
         assert b == 0.0
         assert st.iterations_since_restart == 1
 
@@ -575,7 +578,9 @@ class TestTextbookTrajectory:
             assert [(t, kind) for t, kind in kinds if kind] == ref.restarts
             assert np.array_equal(res.beta_trace, ref.beta_trace)
         else:
-            assert not resets and not res.beta_trace.any() and not ref.restarts
+            # restarted at every step: call 0 forms beta_0 = 0, every later call resets
+            assert resets == [None] + ["fixed"] * res.iterations
+            assert not res.beta_trace.any() and not ref.restarts
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     @TEXTBOOK_SIZES
