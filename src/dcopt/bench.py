@@ -55,6 +55,7 @@ class BenchmarkPlan:
         # fail fast on a malformed reg or a bad weight
         for lam in self.lambdas:
             parse_reg(self.reg, lam)
+        self.lambdas = [float(lam) for lam in self.lambdas]  # a numpy weight prints as its float
 
 
 _PLAN_KEYS = ("grid", "lambdas", "reg", "solvers", "instances", "seed")
@@ -246,18 +247,18 @@ def run_benchmark(plan: BenchmarkPlan) -> list[RunRecord]:
             for rec in _run_cell_replicate(plan, cell, rep)]
 
 
-# after n, m, s, t_lmax: one column per (prefix, solver), blank where a solver did not run
+# after n, m, s, lambda, t_lmax: one column per (prefix, solver), blank where a solver did not run
 _COLUMNS = (
     ("iter", lambda st: "max" if st.cap_fraction == 1.0 else f"{st.iter_mean:.0f}"),
     ("cpu", lambda st: f"{st.cpu_mean:.3f}"),
     ("fval", lambda st: f"{st.fval_mean:.4e}"),
 )
-_HEADER = ["n", "m", "s", "t_lmax"] + [
+_HEADER = ["n", "m", "s", "lambda", "t_lmax"] + [
     f"{col}_{name.replace('_', '')}" for col, _ in _COLUMNS for name in SOLVERS]
 
 
 def _row_cells(row: CellRow) -> list[str]:
-    return [str(row.n), str(row.m), str(row.s), f"{row.t_lmax_mean:.3f}"] + [
+    return [str(row.n), str(row.m), str(row.s), repr(float(row.lam)), f"{row.t_lmax_mean:.3f}"] + [
         cell(row.stats[name]) if name in row.stats else ""
         for _, cell in _COLUMNS for name in SOLVERS]
 

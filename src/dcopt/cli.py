@@ -114,7 +114,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if rec.status == "aborted":
             print(
                 f"solver abort: {rec.solver} on ({rec.m},{rec.n},{rec.s}) "
-                f"rep {rec.replicate}: {rec.message}",
+                f"lam {rec.lam:g} rep {rec.replicate}: {rec.message}",
                 file=sys.stderr,
             )
             rc = 3

@@ -98,6 +98,10 @@ class TestParsePlan:
              "solver"),
             ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0\n"
              "trace=yes", "unknown plan key"),
+            ("grid=10x20x2\nlambdas 1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
+             "malformed plan line"),
+            ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0\n"
+             "seed=1", "duplicate plan key 'seed'"),
             # a value that does not convert names its key, which int() and float() do not
             ("grid=10x20x2; 10x2ox2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
              "^plan key 'grid': '10x2ox2' is not of the form MxNxS$"),
@@ -155,6 +159,13 @@ class TestPlanValidation:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             BenchmarkPlan(grid=(), lambdas=(1e-3,), reg="l1-l2")
+
+    @pytest.mark.parametrize(("field", "fragment"), [
+        ("lambdas", "at least one lambda"), ("solvers", "at least one solver")])
+    def test_rejects_empty_lambdas_or_solvers(self, field, fragment):
+        plan = {"grid": [(10, 20, 2)], "lambdas": [1e-3], "reg": "l1-l2", field: []}
+        with pytest.raises(ValueError, match=fragment):
+            BenchmarkPlan(**plan)
 
     def test_rejects_bad_family_params_fast(self):
         with pytest.raises(ValueError):
@@ -372,7 +383,7 @@ class TestRendering:
     def test_csv_header_exact(self, tiny_records):
         out = render_table(tiny_records, "csv")
         assert out.splitlines()[0] == (
-            "n,m,s,t_lmax,iter_gist,iter_pdcae,iter_pdca,"
+            "n,m,s,lambda,t_lmax,iter_gist,iter_pdcae,iter_pdca,"
             "cpu_gist,cpu_pdcae,cpu_pdca,fval_gist,fval_pdcae,fval_pdca"
         )
 
@@ -380,8 +391,15 @@ class TestRendering:
         lines = render_table(tiny_records, "csv").splitlines()
         assert len(lines) == 2
         cells = lines[1].split(",")
-        assert len(cells) == 13
-        assert cells[0] == "50" and cells[1] == "20" and cells[2] == "3"
+        assert len(cells) == 14
+        assert cells[:4] == ["50", "20", "3", "0.001"]
+
+    def test_each_row_names_its_lambda(self):
+        # the rows of one cell differ only in lambda, so each row must name its own
+        records = [dataclasses.replace(record(name), lam=lam)
+                   for lam in (5e-4, 1e-3) for name in ("gist", "pdca_e", "pdca")]
+        rows = [line.split(",") for line in render_table(records, "csv").splitlines()[1:]]
+        assert [row[3] for row in rows] == ["0.0005", "0.001"]
 
     def test_markdown_structure(self, tiny_records):
         lines = render_table(tiny_records, "markdown").splitlines()
@@ -408,7 +426,7 @@ class TestRendering:
         records = [record("gist")]
         line = render_table(records, "csv").splitlines()[1]
         assert ",,," not in render_table(records, "markdown")
-        assert line.split(",")[5] == ""  # iter_pdcae absent
+        assert line.split(",")[6] == ""  # iter_pdcae absent
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +456,11 @@ class TestFingerprint:
         bumped = [dataclasses.replace(r, iterations=r.iterations + 1)
                   for r in tiny_records]
         assert nontiming_fingerprint(bumped) != nontiming_fingerprint(tiny_records)
+
+    def test_numpy_weight_gives_the_same_fingerprint(self, tiny_records):
+        # a numpy weight is the same plan, so its records must print the same float
+        plan = dataclasses.replace(TINY_PLAN, lambdas=[np.float64(1e-3)])
+        assert nontiming_fingerprint(run_benchmark(plan)) == nontiming_fingerprint(tiny_records)
 
     def test_table_is_a_function_of_its_records(self, tiny_records):
         rebuilt = [dataclasses.replace(r) for r in tiny_records]

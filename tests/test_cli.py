@@ -319,7 +319,7 @@ class TestBench:
         assert out.splitlines() == ["out.csv", "out.md"]
         csv_text = (workdir / "out.csv").read_text()
         assert csv_text.endswith("\n")
-        assert csv_text.splitlines()[0].startswith("n,m,s,t_lmax,iter_gist")
+        assert csv_text.splitlines()[0].startswith("n,m,s,lambda,t_lmax,iter_gist")
         assert len(csv_text.splitlines()) == 2
         md_text = (workdir / "out.md").read_text()
         assert md_text.startswith("| n | m | s |")
@@ -374,7 +374,8 @@ class TestBench:
         assert rc == 3
         assert out.splitlines() == ["out.csv"]
         assert err.splitlines() == [
-            f"solver abort: gist on (20,50,3) rep {rep}: forced abort" for rep in (0, 1)]
+            f"solver abort: gist on (20,50,3) lam 0.001 rep {rep}: forced abort"
+            for rep in (0, 1)]
 
     def test_descent_violation_is_exit_2_without_tables(self, monkeypatch, workdir):
         monkeypatch.setattr("dcopt.bench.check_descent", lambda res, L: DescentReport(1, 0.5))

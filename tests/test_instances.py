@@ -341,6 +341,10 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="b has shape"):
             ProblemInstance(np.eye(2), np.zeros(3), np.zeros(2), np.array([0]), 0, 0.0)
 
+    def test_rejects_bad_ground_truth_shape(self):
+        with pytest.raises(ValueError, match=r"ground_truth has shape \(3,\), expected \(2,\)"):
+            ProblemInstance(np.eye(2), np.zeros(2), np.zeros(3), np.array([0]), 0, 0.0)
+
     def test_rejects_duplicate_support(self):
         with pytest.raises(ValueError, match="distinct"):
             ProblemInstance(np.eye(3), np.zeros(3), np.zeros(3),
@@ -532,6 +536,12 @@ class TestContainer:
         bad.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="size"):
             load_instance(str(bad))
+
+    def test_rejects_file_shorter_than_the_header(self, tmp_path):
+        path = tmp_path / "bad.dcin"
+        path.write_bytes(b"DCIN")
+        with pytest.raises(ValueError, match="truncated container"):
+            load_instance(str(path))
 
     def test_rejects_header_claiming_huge_shape_before_allocating(self, tmp_path):
         # m = n = 2^20 would be an 8 TiB A: the size check has to come first

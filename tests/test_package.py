@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dcopt
-from dcopt import solvers
+from dcopt import cli, solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +67,21 @@ def test_readme_claims_name_existing_tests():
         if scope is None:
             missing.append(f"{path}::{name}")
     assert missing == []
+
+
+def test_readme_command_line_lists_every_option(capsys):
+    # the usage block names each subcommand's options as the parser defines them
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Command line\n(.*?)(?=^## )", readme, re.S | re.M).group(1)
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    listed, parsed = {}, {}
+    for command in ("gen", "solve", "bench"):
+        [line] = [line for line in block.splitlines() if line.startswith(f"dcopt {command} ")]
+        listed[command] = set(re.findall(r"--[\w-]+", line))
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        parsed[command] = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == parsed
 
 
 def test_perfbench_wrapped_names_resolve():

@@ -388,6 +388,14 @@ class TestFullProx:
         with pytest.raises(ValueError):
             full_prox(MCP(1.0, 2.0), np.array([np.inf]), 1.0)
 
+    def test_rejects_a_non_finite_candidate(self):
+        class NanProx(MCP):
+            def prox(self, z, ell):
+                return np.full_like(z, np.nan)
+
+        with pytest.raises(ValueError, match="full_prox produced a non-finite candidate"):
+            full_prox(NanProx(1.0, 2.0), np.ones(2), 1.0)
+
     @pytest.mark.parametrize("spec", SMOOTH_P2, ids=lambda s: type(s).__name__)
     def test_huge_entries_return_z_without_overflow(self, spec):
         # the minimizer lies within w/ell of |z_i|, far below one ulp here; the

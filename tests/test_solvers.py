@@ -265,6 +265,15 @@ class TestSolveResultContract:
         assert np.array_equal(res.x_final, [0.0])
         self.assert_trace_contract(res, algorithm)
 
+    def test_gist_aborts_when_backtracking_exceeds_its_cap(self, monkeypatch, small_instance):
+        # a full prox that never lowers F leaves every one of the 100 trials rejected
+        monkeypatch.setattr("dcopt.solvers.full_prox", lambda spec, z, L_t: z + 1.0)
+        res = solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm="gist"))
+        assert res.status == "aborted"
+        assert res.message == "backtracking exceeded 100 trials at t=0"
+        assert res.iterations == 0
+        self.assert_trace_contract(res, "gist")
+
     def test_final_objective_matches_trace(self, small_instance, small_L):
         # bench and the CLI report F from the trace instead of recomputing it
         spec = LogPenalty(1e-3, 0.5)
