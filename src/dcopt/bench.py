@@ -12,10 +12,11 @@ audited against the descent inequality.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instances import generate_instance, l12_lambda_bound
-from .linalg import _check_cell, _check_seed, _is_count, combine_seed, lmax_gram
+from .linalg import (_check_cell, _check_seed, _is_count, _read_items, _read_value, combine_seed,
+                     lmax_gram)
 from .regularizers import parse_reg
 from .solvers import SOLVERS, SolverConfig, check_descent, solve, stationarity_residual
 
@@ -24,12 +25,12 @@ class InvariantViolation(RuntimeError):
     """A benchmark run violated a checked invariant."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkPlan:
-    grid: list[tuple[int, int, int]]
-    lambdas: list[float]
+    grid: tuple[tuple[int, int, int], ...]
+    lambdas: tuple[float, ...]
     reg: str
-    solvers: list[str] = field(default_factory=lambda: list(SOLVERS))
+    solvers: tuple[str, ...] = SOLVERS
     instances_per_cell: int = 30
     master_seed: int = 0
 
@@ -48,14 +49,17 @@ class BenchmarkPlan:
                 raise ValueError(f"unknown solver {name!r}")
         if not self.solvers:
             raise ValueError("plan needs at least one solver")
-        for what, entries in (("grid cell", [tuple(c) for c in self.grid]),
-                              ("lambda", self.lambdas), ("solver", self.solvers)):
-            if len(set(entries)) < len(entries):
-                raise ValueError(f"plan repeats a {what}")
         # fail fast on a malformed reg or a bad weight
         for lam in self.lambdas:
             parse_reg(self.reg, lam)
-        self.lambdas = [float(lam) for lam in self.lambdas]  # a numpy weight prints as its float
+        # a numpy cell or weight would print as np.int64(...) or np.float64(...)
+        object.__setattr__(self, "grid", tuple((int(m), int(n), int(s)) for m, n, s in self.grid))
+        object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
+        object.__setattr__(self, "solvers", tuple(self.solvers))
+        for what, entries in (("grid cell", self.grid), ("lambda", self.lambdas),
+                              ("solver", self.solvers)):
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"plan repeats a {what}")
 
 
 _PLAN_KEYS = ("grid", "lambdas", "reg", "solvers", "instances", "seed")
@@ -66,44 +70,22 @@ def _cell(tok: str) -> tuple[int, int, int]:
     return m, n, s
 
 
-def _plan_value(key: str, tok: str, convert, kind: str):
-    # the converter's own message names neither the key nor the token of a list that failed
-    try:
-        return convert(tok)
-    except ValueError:
-        raise ValueError(f"plan key {key!r}: {tok!r} is not {kind}") from None
-
-
 def parse_plan(text: str) -> BenchmarkPlan:
-    """Parse the flat key-value plan format ('key = value', '#' comments)."""
-    kv: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed plan line {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        if key not in _PLAN_KEYS:
-            raise ValueError(f"unknown plan key {key!r}; known: {_PLAN_KEYS}")
-        if key in kv:
-            raise ValueError(f"duplicate plan key {key!r}")
-        kv[key] = val.strip()
+    """Parse the flat plan format: 'key = value' lines and '#' comments.
 
-    missing = [k for k in _PLAN_KEYS if k not in kv]
-    if missing:
-        raise ValueError(f"plan missing keys {missing}")
-
+    grid, lambdas and solvers are lists separated by commas, semicolons or whitespace.
+    """
+    lines = (raw.split("#", 1)[0] for raw in text.splitlines())
+    kv = _read_items(filter(str.strip, lines), _PLAN_KEYS, "plan")
+    grid, lambdas, solvers = (kv[key].replace(",", " ").replace(";", " ").split()
+                              for key in ("grid", "lambdas", "solvers"))
     return BenchmarkPlan(
-        grid=[_plan_value("grid", tok, _cell, "of the form MxNxS")
-              for tok in kv["grid"].replace(";", " ").split()],
-        lambdas=[_plan_value("lambdas", tok, float, "a number")
-                 for tok in kv["lambdas"].replace(",", " ").split()],
+        grid=[_read_value("plan", "grid", tok, _cell, "of the form MxNxS") for tok in grid],
+        lambdas=[_read_value("plan", "lambdas", tok, float, "a number") for tok in lambdas],
         reg=kv["reg"],
-        solvers=kv["solvers"].replace(",", " ").split(),
-        instances_per_cell=_plan_value("instances", kv["instances"], int, "an integer"),
-        master_seed=_plan_value("seed", kv["seed"], int, "an integer"),
+        solvers=solvers,
+        instances_per_cell=_read_value("plan", "instances", kv["instances"], int, "an integer"),
+        master_seed=_read_value("plan", "seed", kv["seed"], int, "an integer"),
     )
 
 

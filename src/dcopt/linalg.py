@@ -97,6 +97,33 @@ def _check_positive(value, name: str) -> None:
                          f"got {value!r}")
 
 
+def _read_items(items, keys, what: str) -> dict[str, str]:
+    # the one reader of 'key = value' text (plan lines, reg parameters): each key stripped,
+    # matched in lowercase and given exactly once; `what` names the input in every message
+    kv: dict[str, str] = {}
+    for item in items:
+        key, eq, value = item.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise ValueError(f"{what} item {item.strip()!r} is not of the form key = value")
+        if key not in keys:
+            raise ValueError(f"{what} key {key!r} is unknown; known: {list(keys)}")
+        if key in kv:
+            raise ValueError(f"{what} key {key!r} is given twice")
+        kv[key] = value.strip()
+    if missing := [key for key in keys if key not in kv]:
+        raise ValueError(f"{what} is missing keys {missing}")
+    return kv
+
+
+def _read_value(what: str, key: str, token: str, convert, kind: str):
+    # int() and float() name neither the key nor, in a list, the token that failed
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"{what} key {key!r}: {token!r} is not {kind}") from None
+
+
 @dataclass
 class RandomSource:
     """Counter-based splitmix64 stream.

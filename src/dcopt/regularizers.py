@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import _check_positive, _is_real
+from .linalg import _check_positive, _is_real, _read_items, _read_value
 
 _TIE_TOL = 1e-12  # within this objective gap the smaller |u| wins: deterministic, sparse
 # Above this |z_i| the candidate formulas can overflow (TL1 cubes |z_i|, and
@@ -332,8 +332,8 @@ _FAMILIES: dict[str, type[RegularizerSpec]] = {
 def parse_reg(text: str, lam: float | None = None) -> RegularizerSpec:
     """Build a spec from 'family:key=value,...', e.g. 'log:lambda=1e-3,eps=0.5'.
 
-    The keys are the family's fields, with lam spelled lambda; each is given
-    once. A given `lam` supplies lambda, which the text must then leave out
+    The keys are the family's fields, with lam spelled lambda, in any case;
+    each is given once. A given `lam` supplies lambda, which the text must then leave out
     (a plan's reg names the shape parameters, its lambdas the weights).
     """
     if not isinstance(text, str):
@@ -345,19 +345,8 @@ def parse_reg(text: str, lam: float | None = None) -> RegularizerSpec:
     if family not in _FAMILIES:
         raise ValueError(f"unknown regularizer family {family!r}; known: {sorted(_FAMILIES)}")
     cls = _FAMILIES[family]
-    keys = ["lambda" if f.name == "lam" else f.name for f in fields(cls)]
-    params = {} if lam is None else {"lambda": lam}
-    for item in rest.split(",") if rest else ():
-        if "=" not in item:
-            raise ValueError(f"malformed parameter {item!r}, expected key=value")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ValueError(f"parameter {key!r} not valid for family {family!r}")
-        if key in params:
-            raise ValueError(f"duplicate parameter {key!r}" if lam is None or key != "lambda"
-                             else "lambda comes from lam (a plan's lambdas), not from the text")
-        params[key] = float(val)
-    if len(params) < len(keys):
-        raise ValueError(f"family {family!r} takes parameters {keys}, got {sorted(params)}")
-    return cls(*(float(params[k]) for k in keys))
+    what = f"reg {family!r}" + ("" if lam is None else " (lambda comes from the plan's lambdas)")
+    keys = ["lambda"] * (lam is None) + [f.name for f in fields(cls)[1:]]  # lam spelled lambda
+    kv = _read_items(rest.split(",") if rest else (), keys, what)
+    values = [_read_value(what, key, kv[key], float, "a number") for key in keys]
+    return cls(*values) if lam is None else cls(float(lam), *values)

@@ -64,12 +64,23 @@ class TestParsePlan:
         seed = 7
         """
         plan = parse_plan(text)
-        assert plan.grid == [(10, 20, 2), (20, 40, 4)]
-        assert plan.lambdas == [1e-3, 5e-4]
+        assert plan.grid == ((10, 20, 2), (20, 40, 4))
+        assert plan.lambdas == (1e-3, 5e-4)
         assert plan.reg == "log:eps=0.5"
-        assert plan.solvers == ["gist", "pdca"]
+        assert plan.solvers == ("gist", "pdca")
         assert plan.instances_per_cell == 2
         assert plan.master_seed == 7
+
+    @pytest.mark.parametrize("lists", [
+        "grid = 10x20x2, 20x40x4\nlambdas = 1e-3; 5e-4\nsolvers = gist; pdca",
+        "grid = 10x20x2 20x40x4\nlambdas = 1e-3 5e-4\nsolvers = gist pdca",
+        "grid = 10x20x2;20x40x4\nlambdas = 1e-3,5e-4\nsolvers = gist,pdca",
+    ])
+    def test_every_list_takes_every_separator(self, lists):
+        # every list takes commas, semicolons and whitespace alike
+        rest = "\nreg = l1-l2\ninstances = 2\nseed = 7"
+        want = "grid = 10x20x2; 20x40x4\nlambdas = 1e-3, 5e-4\nsolvers = gist, pdca" + rest
+        assert parse_plan(lists + rest) == parse_plan(want)
 
     def test_every_key_is_required(self):
         full = ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist,pdca_e,pdca\n"
@@ -81,7 +92,7 @@ class TestParsePlan:
                 parse_plan(full.replace(line, ""))
 
     def test_programmatic_defaults(self):
-        assert TINY_PLAN.solvers == ["gist", "pdca_e", "pdca"]
+        assert TINY_PLAN.solvers == ("gist", "pdca_e", "pdca")
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -91,17 +102,17 @@ class TestParsePlan:
             ("grid=10x20\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
              "MxNxS"),
             ("grid=10x20x2\nbogus=1\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
-             "unknown plan key"),
+             "^plan key 'bogus' is unknown; known: "),
             ("lambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
              "grid"),
             ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=sgd\ninstances=1\nseed=0",
              "solver"),
             ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0\n"
-             "trace=yes", "unknown plan key"),
+             "trace=yes", "^plan key 'trace' is unknown"),
             ("grid=10x20x2\nlambdas 1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
-             "malformed plan line"),
+             "^plan item 'lambdas 1e-3' is not of the form key = value$"),
             ("grid=10x20x2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0\n"
-             "seed=1", "duplicate plan key 'seed'"),
+             "seed=1", "^plan key 'seed' is given twice$"),
             # a value that does not convert names its key, which int() and float() do not
             ("grid=10x20x2; 10x2ox2\nlambdas=1e-3\nreg=l1-l2\nsolvers=gist\ninstances=1\nseed=0",
              "^plan key 'grid': '10x2ox2' is not of the form MxNxS$"),
@@ -119,11 +130,15 @@ class TestParsePlan:
 
     @pytest.mark.parametrize(("reg", "fragment"), [
         ("huh:eps=1", "unknown regularizer family"),
-        ("log:theta=1", "not valid for family"),
-        ("log:eps=0.5,eps=1", "duplicate parameter"),
-        ("log", "takes parameters"),
-        ("log:eps", "malformed parameter"),
-        ("log:eps=0.5,", "malformed parameter"),
+        # an id says what is wrong with the reg, and the fragment how the message says it
+        pytest.param("log:theta=1", "key 'theta' is unknown", id="log:theta=1-not valid for family"),
+        pytest.param("log:eps=0.5,eps=1", "key 'eps' is given twice",
+                     id="log:eps=0.5,eps=1-duplicate parameter"),
+        pytest.param("log", r"missing keys \['eps'\]", id="log-takes parameters"),
+        pytest.param("log:eps", "item 'eps' is not of the form key = value",
+                     id="log:eps-malformed parameter"),
+        pytest.param("log:eps=0.5,", "item '' is not of the form key = value",
+                     id="log:eps=0.5,-malformed parameter"),
         ("log:lambda=1e-3,eps=0.5", "lambda"),
         ("log:eps=-1", "eps must exceed"),
         ("scad:theta=nan", "theta must exceed"),
@@ -151,7 +166,7 @@ class TestCommittedPlans:
 
     def test_full_grid_has_ten_scaled_desk_cells(self):
         plan = parse_plan((PLANS / "full-grid-l1l2.plan").read_text())
-        assert plan.grid == [(720 * i, 2560 * i, 80 * i) for i in range(1, 11)]
+        assert plan.grid == tuple((720 * i, 2560 * i, 80 * i) for i in range(1, 11))
         assert plan.reg == "l1-l2"
 
 
@@ -233,6 +248,23 @@ class TestPlanValidation:
         plan = {"grid": [(10, 20, 2)], "lambdas": [1e-3], "reg": "l1-l2", **repeat}
         with pytest.raises(ValueError, match="repeats"):
             BenchmarkPlan(**plan)
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("grid", ((20, 50, 3),)), ("lambdas", (1e-3,)), ("solvers", ("gist", "nope")),
+        ("instances_per_cell", 0)])
+    def test_plan_cannot_change_after_its_checks(self, field, value):
+        # a plan changed after its checks could run a weight twice, or gist before a bad solver
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(TINY_PLAN, field, value)
+
+    def test_numpy_cells_give_records_of_python_ints(self):
+        cell = tuple(np.int64(v) for v in (20, 50, 3))
+        plan = dataclasses.replace(TINY_PLAN, grid=[cell], instances_per_cell=1,
+                                   solvers=["pdca_e"])
+        assert plan.grid == ((20, 50, 3),)
+        [rec] = run_benchmark(plan)
+        assert [type(v) for v in (rec.m, rec.n, rec.s)] == [int] * 3
+        assert "np." not in nontiming_fingerprint([rec])
 
 
 class TestReplicateSeed:

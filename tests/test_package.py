@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dcopt
-from dcopt import cli, solvers
+from dcopt import bench, cli, regularizers, solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +82,24 @@ def test_readme_command_line_lists_every_option(capsys):
             cli.main([command, "--help"])
         parsed[command] = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
     assert listed == parsed
+
+
+def test_readme_input_examples_parse(monkeypatch):
+    # the README's plan block, Python plan and regularizer spellings go through the one reader
+    readme = (ROOT / "README.md").read_text()
+    plans = re.search(r"^## Benchmark plans\n(.*?)(?=^## )", readme, re.S | re.M).group(1)
+    bench.parse_plan(re.search(r"```\n(.*?)```", plans, re.S).group(1))
+    monkeypatch.setattr(bench, "run_benchmark", lambda plan: [])  # build the plan, run nothing
+    namespace = {}
+    exec(re.search(r"```python\n(.*?)```", plans, re.S).group(1), namespace)
+    assert bench.parse_plan((ROOT / "scripts" / "plans" / "desk-log.plan").read_text()) == \
+        namespace["plan"]
+    commands = re.search(r"^## Command line\n(.*?)(?=^## )", readme, re.S | re.M).group(1)
+    families = "|".join(map(re.escape, regularizers._FAMILIES))
+    specs = re.findall(rf"(?<![\w-])((?:{families}):[^`\s]+)", commands)
+    assert len(specs) >= 6
+    for spec in specs:
+        regularizers.parse_reg(spec)
 
 
 def test_perfbench_wrapped_names_resolve():

@@ -633,6 +633,7 @@ class TestParsers:
             ("mcp:lambda=0.1,theta=5", MCP(0.1, 5.0)),
             ("scad:lambda=0.1,theta=3.7", SCAD(0.1, 3.7)),
             ("tl1:lambda=0.1,a=1", TransformedL1(0.1, 1.0)),
+            ("log: Lambda = 1e-3 , EPS = 0.5", LogPenalty(1e-3, 0.5)),  # keys in any case
         ],
     )
     def test_parse_reg_roundtrip(self, text, expected):
@@ -661,10 +662,16 @@ class TestParsers:
         # a plan's reg names the shape parameters; the weight comes from lam
         assert parse_reg("mcp:theta=2.5", 0.1) == MCP(0.1, 2.5)
         assert parse_reg(" l1-l2 ", 0.25) == L1MinusL2(0.25)
-        with pytest.raises(ValueError, match="lambda"):
+        assert parse_reg("log:EPS=0.5", 1e-3) == parse_reg("log:eps=0.5", 1e-3)
+        with pytest.raises(ValueError, match="lambda comes from the plan's lambdas"):
             parse_reg("log:lambda=1e-3,eps=0.5", 1e-3)
         with pytest.raises(ValueError, match="lam"):
             parse_reg("log:eps=0.5", -1e-3)
+
+    def test_parse_reg_names_the_key_and_token(self):
+        # float()'s own message names neither the key nor the spec
+        with pytest.raises(ValueError, match="^reg 'log' key 'lambda': 'abc' is not a number$"):
+            parse_reg("log:lambda=abc,eps=0.5")
 
     def test_parse_reg_unknown_family(self):
         with pytest.raises(ValueError, match="unknown regularizer family 'nope'"):
@@ -680,7 +687,7 @@ class TestParsers:
         assert all(_FAMILIES[cls.name] is cls for cls in _FAMILIES.values())
 
     def test_parse_reg_rejects_missing_or_foreign_keys(self):
-        with pytest.raises(ValueError, match="takes parameters"):
+        with pytest.raises(ValueError, match=r"missing keys \['theta'\]"):
             parse_reg("mcp:", 0.1)
-        with pytest.raises(ValueError, match="not valid"):
+        with pytest.raises(ValueError, match="key 'eps' is unknown"):
             parse_reg("l1-l2:eps=1.0", 0.1)

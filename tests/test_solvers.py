@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcopt import replicate_seed
+from dcopt import linalg, replicate_seed
 from dcopt import solvers as solvers_module
 from dcopt.instances import ProblemInstance, generate_instance
 from dcopt.linalg import lmax_gram
@@ -622,16 +622,62 @@ class TestTextbookTrajectory:
         assert np.all(np.abs(F - F_ref) <= 1e-10 * np.abs(F_ref))
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a spy that adds one entry per call to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@functools.lru_cache(maxsize=None)
+def desk_case():
+    """Desk replicate 0, its lmax_gram estimate, and the passes over A the estimate made."""
+    inst = generate_instance(720, 2560, 80, seed=replicate_seed(0, 720, 2560, 80, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_calls(mp, linalg, "_gemv_pair")
+        est = lmax_gram(inst.A)
+    return inst, est, len(passes)
+
+
 def desk_results() -> str:
     """Desk replicate 0: L, then l1-l2 pdca_e to convergence and 300 pdca steps."""
-    inst = generate_instance(720, 2560, 80, seed=replicate_seed(0, 720, 2560, 80, 0))
-    est = lmax_gram(inst.A)
+    inst, est, _ = desk_case()
     out = [repr(est)]
     for algorithm, cap in (("pdca_e", 5000), ("pdca", 300)):
         res = solve(inst, L1MinusL2(5e-4),
                     SolverConfig(algorithm=algorithm, max_iter=cap, L_override=est.value))
         out.append(f"{algorithm} {res.iterations} {res.status} {res.objective_trace[-1]!r}")
     return "\n".join(out)
+
+
+@pytest.mark.parametrize("algorithm", ["pdca_e", "pdca"])
+def test_one_pass_over_A_per_power_step_and_iteration(monkeypatch, small_instance, algorithm):
+    # on any build: LmaxResult.iterations counts passes, and a pdca step makes one
+    power = count_calls(monkeypatch, linalg, "_gemv_pair")
+    est = lmax_gram(small_instance.A)
+    assert len(power) == est.iterations > 1
+    passes = count_calls(monkeypatch, solvers_module, "_gemv_pair")
+    res = solve(small_instance, L1MinusL2(1e-3), SolverConfig(algorithm, L_override=est.value))
+    assert len(passes) == res.iterations > 1
+
+
+def test_desk_pass_and_trial_counts(monkeypatch, pinned_bits):
+    # desk replicate 0 at l1-l2 lambda 5e-4, as perfbench's reference pins it; pdca is
+    # left out, since its 5000 is the iteration cap
+    inst, est, power = desk_case()
+    assert (power, est.iterations, repr(est.value)) == (3604, 3604, "8.29728534902795")
+    passes = count_calls(monkeypatch, solvers_module, "_gemv_pair")
+    trials = count_calls(monkeypatch, solvers_module, "full_prox")
+    spec = L1MinusL2(5e-4)
+    res = solve(inst, spec, SolverConfig("pdca_e", L_override=est.value))
+    assert (res.iterations, len(passes)) == (812, 812)
+    res = solve(inst, spec, SolverConfig("gist"))
+    assert (res.iterations, len(trials)) == (1438, 2568)
 
 
 def test_desk_results_at_one_blas_thread_match_the_default():
