@@ -12,6 +12,7 @@ audited against the descent inequality.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .instances import generate_instance, l12_lambda_bound
@@ -35,20 +36,22 @@ class BenchmarkPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.grid:
-            raise ValueError("plan grid must be nonempty")
-        for m, n, s in self.grid:
-            _check_cell(m, n, s)
-        if not self.lambdas:
-            raise ValueError("plan needs at least one lambda")
+        for key, entry in (("grid", "grid cell"), ("lambdas", "lambda"), ("solvers", "solver")):
+            # text is a sequence too, but it would read letter by letter
+            if isinstance(value := getattr(self, key), str) or not isinstance(value, Sequence):
+                raise ValueError(f"plan key {key!r}: {value!r} is not a list")
+            if not value:
+                raise ValueError(f"plan needs at least one {entry}")
+        for cell in self.grid:
+            if not (isinstance(cell, Sequence) and len(cell) == 3):
+                raise ValueError(f"plan key 'grid': {cell!r} is not a cell (m, n, s)")
+            _check_cell(*cell)
         if not _is_count(self.instances_per_cell):
             raise ValueError("instances_per_cell must be an integer >= 1")
         _check_seed(self.master_seed, "master_seed")
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
-        if not self.solvers:
-            raise ValueError("plan needs at least one solver")
         # fail fast on a malformed reg or a bad weight
         for lam in self.lambdas:
             parse_reg(self.reg, lam)

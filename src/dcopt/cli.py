@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol", type=float, default=SolverConfig.tol)
     slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     slv.add_argument("--restart", type=int, default=SolverConfig.restart_period,
-                     help="fixed restart period; 0 disables")
+                     help="fixed restart period; 0 disables (outside the convergence theorem)")
     slv.add_argument("--no-adaptive", action="store_true")
     slv.add_argument("--trace", default=None, help="write per-iteration t,F,E,step_norm,beta CSV")
     slv.set_defaults(func=_cmd_solve)

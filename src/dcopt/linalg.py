@@ -170,6 +170,7 @@ class RandomSource:
         # above 2**64 the accepted range would be empty and the loop endless
         if not (_is_count(bound) and bound <= 1 << 64):
             raise ValueError(f"bound must be a positive integer at most 2**64, got {bound!r}")
+        bound = operator.index(bound)  # a numpy bound would overflow in (1 << 64) % bound
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = int(self.raw(1)[0])

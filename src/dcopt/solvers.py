@@ -58,34 +58,18 @@ class SolverConfig:
             _check_positive(self.L_override, "L_override")
 
 
-@dataclass(frozen=True)
-class ExtrapolationState:
-    theta_prev: float = 1.0
-    theta: float = 1.0
-    iterations_since_restart: int = 0
+def _beta_table(size: int) -> tuple[float, ...]:
+    """beta_0 .. beta_{size-1}, where beta_k is the weight k steps after a reset.
 
-
-def next_beta(
-    state: ExtrapolationState,
-    restart_period: int,
-    adaptive_trigger: bool,
-) -> tuple[float, ExtrapolationState]:
-    """Emit beta_t = (theta_{t-1} - 1)/theta_t and advance the theta recursion.
-
-    A reset (adaptive trigger, or the since-restart counter reaching a fixed
-    period above 0) puts theta_prev = theta = 1 before beta is formed, so the
-    beta emitted just after any reset is 0, and every beta is 0 at period 1.
-    Both triggers firing at once reset once; the counter restarts on either.
+    beta_k = (theta_{k-1} - 1)/theta_k with theta_{-1} = theta_0 = 1 and
+    theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2))/2, so beta_0 = beta_1 = 0 and the
+    weights rise toward 1; under a fixed period T every beta is at most beta_{T-1}.
     """
-    theta_prev = state.theta_prev
-    theta = state.theta
-    since = state.iterations_since_restart
-    if adaptive_trigger or 0 < restart_period == since:
-        theta_prev = theta = 1.0
-        since = 0
-    beta = (theta_prev - 1.0) / theta
-    theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-    return beta, ExtrapolationState(theta, theta_next, since + 1)
+    betas, theta_prev, theta = [], 1.0, 1.0
+    for _ in range(size):
+        betas.append((theta_prev - 1.0) / theta)
+        theta_prev, theta = theta, (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+    return tuple(betas)
 
 
 @dataclass
@@ -125,9 +109,9 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     """Run cfg.algorithm from the origin.
 
     pdca_e/pdca: xi^t in dP2(x^t); y^t = x^t + beta_t (x^t - x^{t-1});
-    x^{t+1} = p1_prox(y^t - (1/L)(grad f(y^t) - xi^t), 1/L), with beta_t from
-    next_beta; pdca restarts at every step, so its beta_t are 0. The adaptive
-    trigger is <y^{t-1} - x^t, x^t - x^{t-1}> > 0, evaluated before y^t is formed.
+    x^{t+1} = p1_prox(y^t - (1/L)(grad f(y^t) - xi^t), 1/L), beta_t = _beta_table(.)[k] with
+    k the steps since a reset. The adaptive trigger <y^{t-1} - x^t, x^t - x^{t-1}> > 0 (formed
+    before y^t) or k reaching a fixed period resets; pdca resets every step, so beta_t = 0.
 
     gist: x^{t+1} = full_prox(x^t - grad f(x^t)/L_t, L_t). The trial step L_t
     starts from the clamped BB curvature ||A d||^2/||d||^2 of the last step d
@@ -152,8 +136,9 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
     x = x_prev = np.zeros(inst.n)
     Ax = Ax_prev = np.zeros(inst.m)
     L0 = _GIST_L0_FIRST
-    if not gist:  # beta_0 = 0; the trigger is off at the origin
-        beta, state = next_beta(ExtrapolationState(), period, False)
+    if not gist:  # beta_0 = 0; the trigger is off at the origin; k never passes max_iter
+        table = _beta_table(min(period or cfg.max_iter + 1, cfg.max_iter + 1))
+        beta, k = 0.0, 1
         grad_y = A.T @ (Ax - b)  # y^0 = x^0 = 0
     obj = [_objective(spec, Ax, b, x)]
     steps: list[float] = []
@@ -195,7 +180,7 @@ def solve(inst: ProblemInstance, spec: RegularizerSpec, cfg: SolverConfig) -> So
                 beta_t = beta
                 with np.errstate(over="ignore", invalid="ignore"):  # a diverging run aborts on F
                     trigger = adaptive and float((y - x_new) @ (x_new - x)) > 0.0
-                    beta, state = next_beta(state, period, trigger)
+                    beta, k = (table[0], 1) if trigger or k == period else (table[k], k + 1)
                     Ax_new, grad_y = _gemv_pair(A, x_new, (beta, Ax, b))
                 F = _objective(spec, Ax_new, b, x_new)
                 if np.isfinite(F):

@@ -32,7 +32,7 @@ from dcopt.regularizers import (
     full_prox,
     p2_subgrad,
 )
-from dcopt.solvers import ExtrapolationState, SolverConfig, check_descent, next_beta, solve
+from dcopt.solvers import SolverConfig, _beta_table, check_descent, solve
 
 from oracles import (
     fd_gradient,
@@ -251,30 +251,33 @@ def test_criterion_6_lmax_vs_dense_eigensolver():
 
 def test_criterion_7_beta_schedule_range():
     """10^4 schedule steps under the fixed period plus random adaptive
-    triggers: every beta in [0, 1), strictly bounded away from 1, and exactly
-    zero on the step after any restart."""
+    triggers, driven by solve's rule for k (the steps since a reset): every beta
+    in [0, beta_bar], where beta_bar = beta_199 < 1 bounds period 200, and
+    exactly zero on the step after any restart."""
     rng = np.random.default_rng(0xBE7A)
-    state = ExtrapolationState()
+    table = _beta_table(200)
+    beta_bar = table[-1]
+    k = 1
     betas = []
     reset_betas = []
     for _ in range(10_000):
         trigger = bool(rng.random() < 0.02)
-        resetting = trigger or state.iterations_since_restart == 200
-        beta, state = next_beta(state, 200, trigger)
+        resetting = trigger or k == 200
+        beta, k = (table[0], 1) if resetting else (table[k], k + 1)
         betas.append(beta)
         if resetting:
             reset_betas.append(beta)
     arr = np.asarray(betas)
     ok = (
         float(arr.min()) >= 0.0
-        and float(arr.max()) < 1.0
+        and float(arr.max()) <= beta_bar < 1.0
         and len(reset_betas) > 40
         and all(b == 0.0 for b in reset_betas)
     )
     _report(
         7,
         ok,
-        f"10000 steps, beta in [{arr.min():.3f}, {arr.max():.6f}], "
+        f"10000 steps, beta in [{arr.min():.3f}, {arr.max():.6f}] (beta_bar {beta_bar:.6f}), "
         f"{len(reset_betas)} resets all exactly 0",
     )
 

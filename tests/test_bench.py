@@ -239,6 +239,19 @@ class TestPlanValidation:
                              master_seed=np.uint64(2**64 - 1))
         assert plan.master_seed == 2**64 - 1
 
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("grid", [5], r"plan key 'grid': 5 is not a cell \(m, n, s\)"),
+        ("grid", [(20, 50)], r"plan key 'grid': \(20, 50\) is not a cell \(m, n, s\)"),
+        ("grid", "720x2560x80", r"plan key 'grid': '720x2560x80' is not a list"),
+        ("lambdas", 1e-3, r"plan key 'lambdas': 0\.001 is not a list"),
+        ("solvers", "gist", r"plan key 'solvers': 'gist' is not a list"),
+    ], ids=["int-cell", "pair-cell", "text-grid", "float-lambdas", "text-solvers"])
+    def test_rejects_a_list_or_cell_of_the_wrong_shape(self, field, value, message):
+        # each raised TypeError or 'not enough values to unpack', or read 'gist' letter by letter
+        plan = {"grid": [(20, 50, 3)], "lambdas": [1e-3], "reg": "l1-l2", field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BenchmarkPlan(**plan)
+
     @pytest.mark.parametrize("repeat", [
         {"grid": [(10, 20, 2)] * 2},
         {"lambdas": [1e-3] * 2},

@@ -172,6 +172,13 @@ class TestGenerateInstance:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.seed == 5
 
+    @pytest.mark.parametrize("n", [np.int64(50), np.uint32(50)], ids=["int64", "uint32"])
+    def test_numpy_integer_n_matches_python_int(self, n):
+        # randbelow took (1 << 64) % bound on the numpy bound n - j, which overflowed
+        a, b = generate_instance(20, n, 3, seed=0), generate_instance(20, 50, 3, seed=0)
+        for name in ("A", "b", "ground_truth", "support"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_float_seed_is_rejected(self):
         with pytest.raises(ValueError, match="seed must be an integer in"):
             generate_instance(4, 6, 2, seed=5.0)
